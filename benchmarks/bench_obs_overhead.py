@@ -29,7 +29,7 @@ from pathlib import Path
 
 from repro.obs import runtime as obs
 from repro.obs.metrics import NOOP_REGISTRY
-from repro.obs.spans import NOOP_TRACER
+from repro.obs.trace import NOOP_TRACER
 from repro.runner.campaign import CampaignConfig, ScalToolCampaign
 from repro.workloads import SyntheticWorkload
 

@@ -30,6 +30,7 @@ JSONL metrics manifest after the command finishes).
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from . import __version__
@@ -545,73 +546,25 @@ def _campaign_for(args) -> tuple[CampaignData, object]:
     return campaign, workload
 
 
-def _load_stored_result(args) -> tuple[str, dict]:
-    """Resolve an ``explain``/``doctor`` target to a stored result dict.
-
-    ``target`` may be (tried in order): a path to a ``--save-result`` JSON
-    file or a stored job record; a job id in the local job store under
-    the cache root (works fully offline); a job id on a running service
-    (only when ``--url`` is given).
-    """
-    import json as _json
+def _local_job_store(cache_dir: str | None):
+    """The job store under the cache root (``--cache-dir`` or the default)."""
     from pathlib import Path as _Path
 
-    target = args.target
-    path = _Path(target)
-    if path.exists():
-        try:
-            doc = _json.loads(path.read_text())
-        except (OSError, _json.JSONDecodeError) as exc:
-            raise ReproError(f"cannot read {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ReproError(f"{path} does not hold a result object")
-        if "state" in doc and "kind" in doc:  # a stored job record
-            if doc.get("state") != "done" or not doc.get("result"):
-                raise ReproError(
-                    f"job record {path} is {doc.get('state')!r}; no result to inspect"
-                )
-            return f"job {doc.get('id', '?')} ({doc.get('kind', '?')})", doc["result"]
-        if any(k in doc for k in ("output", "data", "lineage")):
-            return str(path), doc
-        raise ReproError(f"{path} is neither a job record nor a saved result")
     from .runner.engine import default_cache_root
     from .service.store import JobStore
 
-    root = _Path(args.cache_dir) if args.cache_dir else default_cache_root()
-    job = JobStore(root / "service" / "jobs").get(target)
-    if job is not None:
-        if job.state != "done" or not job.result:
-            raise ReproError(f"job {target} is {job.state!r}; no result to inspect")
-        return f"job {job.id} ({job.kind})", job.result
-    if args.url:
-        from .service.client import ServiceClient
-
-        view = ServiceClient(args.url).result(target)
-        if view.get("state") != "done" or not view.get("result"):
-            raise ReproError(f"job {target} is {view.get('state')!r}; no result to inspect")
-        return f"job {view['id']}", view["result"]
-    raise ReproError(
-        f"no stored job {target!r} under {root / 'service' / 'jobs'} "
-        "(pass a file path, --cache-dir, or --url for a running service)"
-    )
+    root = _Path(cache_dir) if cache_dir else default_cache_root()
+    return JobStore(root / "service" / "jobs")
 
 
-def _blame_groups(args) -> dict:
-    groups: dict = {}
-    for spec in getattr(args, "group", None) or []:
-        name, _, pattern = spec.partition("=")
-        if not pattern:
-            raise ReproError(f"bad --group {spec!r}; expected NAME=PATTERN")
-        groups[name] = pattern.strip("'\"")
-    return groups
-
-
-def _blame_stored(target: str, cache_dir: str | None):
-    """Resolve a blame target held on disk: a stored job record, a
+def _stored_result(target: str, cache_dir: str | None, nothing: str):
+    """Resolve a result held on disk: a stored job record file, a
     ``--save-result`` JSON, or a job id in the local job store.
 
-    Returns ``(label, kind, payload, result)`` — ``kind``/``payload`` are
-    None for a bare saved result — or None when the target is neither.
+    Returns ``(path, job, result)`` — ``path`` is the file read (None for
+    a job-store id) and ``job`` the record's ``id``/``kind``/``payload``
+    (None for a bare saved result) — or None when the target is neither.
+    ``nothing`` ends the error raised for a job that has no result.
     """
     import json as _json
     from pathlib import Path as _Path
@@ -626,21 +579,54 @@ def _blame_stored(target: str, cache_dir: str | None):
             raise ReproError(f"{path} does not hold a result object")
         if "state" in doc and "kind" in doc:  # a stored job record
             if doc.get("state") != "done" or not doc.get("result"):
-                raise ReproError(f"job record {path} is {doc.get('state')!r}; nothing to blame")
-            return str(path), doc["kind"], doc.get("payload") or {}, doc["result"]
+                raise ReproError(f"job record {path} is {doc.get('state')!r}; {nothing}")
+            return path, doc, doc["result"]
         if any(k in doc for k in ("output", "data", "lineage")):
-            return str(path), None, None, doc
+            return path, None, doc
         raise ReproError(f"{path} is neither a job record nor a saved result")
-    from .runner.engine import default_cache_root
-    from .service.store import JobStore
+    job = _local_job_store(cache_dir).get(target)
+    if job is None:
+        return None
+    if job.state != "done" or not job.result:
+        raise ReproError(f"job {target} is {job.state!r}; {nothing}")
+    return None, {"id": job.id, "kind": job.kind, "payload": job.payload}, job.result
 
-    root = _Path(cache_dir) if cache_dir else default_cache_root()
-    job = JobStore(root / "service" / "jobs").get(target)
-    if job is not None:
-        if job.state != "done" or not job.result:
-            raise ReproError(f"job {target} is {job.state!r}; nothing to blame")
-        return f"job {job.id} ({job.kind})", job.kind, job.payload or {}, job.result
-    return None
+
+def _load_stored_result(args) -> tuple[str, dict]:
+    """Resolve an ``explain``/``doctor`` target to ``(label, result)``.
+
+    ``target`` may be (tried in order): a result stored on disk (see
+    :func:`_stored_result`; works fully offline); a job id on a running
+    service (only when ``--url`` is given).
+    """
+    target = args.target
+    stored = _stored_result(target, args.cache_dir, "no result to inspect")
+    if stored is not None:
+        path, job, result = stored
+        if job is None:
+            return str(path), result
+        return f"job {job.get('id', '?')} ({job.get('kind', '?')})", result
+    if args.url:
+        from .service.client import ServiceClient
+
+        view = ServiceClient(args.url).result(target)
+        if view.get("state") != "done" or not view.get("result"):
+            raise ReproError(f"job {target} is {view.get('state')!r}; no result to inspect")
+        return f"job {view['id']}", view["result"]
+    raise ReproError(
+        f"no stored job {target!r} under {_local_job_store(args.cache_dir).root} "
+        "(pass a file path, --cache-dir, or --url for a running service)"
+    )
+
+
+def _blame_groups(args) -> dict:
+    groups: dict = {}
+    for spec in getattr(args, "group", None) or []:
+        name, _, pattern = spec.partition("=")
+        if not pattern:
+            raise ReproError(f"bad --group {spec!r}; expected NAME=PATTERN")
+        groups[name] = pattern.strip("'\"")
+    return groups
 
 
 def _blame_payload_from_result(label: str, result: dict) -> dict:
@@ -665,6 +651,21 @@ def _blame_payload_from_result(label: str, result: dict) -> dict:
             "blame a workload name or a campaign directory instead"
         )
     return payload
+
+
+def _stored_campaign_payload(path, job: dict | None, result: dict) -> dict:
+    """The campaign a stored result came from: its job's payload when
+    that names one, else recovered from the result's data and lineage."""
+    payload = (job or {}).get("payload") or {}
+    if all(k in payload for k in ("workload", "s0", "counts")):
+        return {
+            "workload": payload["workload"],
+            "params": payload.get("params", {}),
+            "s0": payload["s0"],
+            "counts": payload["counts"],
+        }
+    label = str(path) if path is not None else f"job {job['id']} ({job['kind']})"
+    return _blame_payload_from_result(label, result or {})
 
 
 def _blame_target_report(args, target: str) -> tuple[str, dict]:
@@ -699,22 +700,14 @@ def _blame_target_report(args, target: str) -> tuple[str, dict]:
             },
         )
         return result.output, result.data["report"]
-    stored = _blame_stored(target, args.cache_dir)
+    stored = _stored_result(target, args.cache_dir, "nothing to blame")
     if stored is not None:
-        label, kind, payload, result = stored
+        path, job, result = stored
         data = (result or {}).get("data") or {}
-        if kind == "blame" and isinstance(data.get("report"), dict):
+        if job and job["kind"] == "blame" and isinstance(data.get("report"), dict):
             report = data["report"]
             return (result.get("output") or render_blame(report) + "\n"), report
-        if payload and all(k in payload for k in ("workload", "s0", "counts")):
-            req_payload = {
-                "workload": payload["workload"],
-                "params": payload.get("params", {}),
-                "s0": payload["s0"],
-                "counts": payload["counts"],
-            }
-        else:
-            req_payload = _blame_payload_from_result(label, result or {})
+        req_payload = _stored_campaign_payload(path, job, result)
         req_payload["groups"] = groups
         derived = _execute_request(args, "blame", req_payload)
         return derived.output, derived.data["report"]
@@ -788,19 +781,9 @@ def _models_result(args):
             payload["dataset"] = SpeedupDataset.load(path).to_dict()
             return _execute_request(args, "models", payload)
 
-    stored = _blame_stored(target, args.cache_dir)
+    stored = _stored_result(target, args.cache_dir, "nothing to blame")
     if stored is not None:
-        label, kind, job_payload, result = stored
-        if job_payload and all(k in job_payload for k in ("workload", "s0", "counts")):
-            campaign_payload = {
-                "workload": job_payload["workload"],
-                "params": job_payload.get("params", {}),
-                "s0": job_payload["s0"],
-                "counts": job_payload["counts"],
-            }
-        else:
-            campaign_payload = _blame_payload_from_result(label, result or {})
-        payload.update(campaign_payload)
+        payload.update(_stored_campaign_payload(*stored))
         return _execute_request(args, "models", payload)
 
     raise ReproError(
@@ -919,14 +902,8 @@ def _dispatch(args) -> int:
 
         campaign, _ = _campaign_for(args)
         analysis = ScalTool(campaign).analyze()
-        if args.group:
-            groups = {}
-            for spec in args.group:
-                name, _, pattern = spec.partition("=")
-                if not pattern:
-                    raise ReproError(f"bad --group {spec!r}; expected NAME=PATTERN")
-                groups[name] = pattern.strip("'\"")
-        else:
+        groups = _blame_groups(args)
+        if not groups:
             prefixes = sorted({name.split("_")[0] for name in phase_names(campaign)})
             groups = {p: f"{p}*" for p in prefixes}
         print(analyze_segments(analysis, campaign, groups).summary())
@@ -1131,10 +1108,17 @@ def _dispatch(args) -> int:
 
             server = serve(config, host=args.host, port=args.port)
             print(f"scaltool service listening on {server.url}", file=sys.stderr)
+
+        def _terminate(signum, frame):  # noqa: ARG001 - signal API
+            raise KeyboardInterrupt  # SIGTERM drains and shuts down like Ctrl-C
+
+        previous = signal.signal(signal.SIGTERM, _terminate)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
             print("draining and shutting down ...", file=sys.stderr)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
         return 0
 
     if args.command == "submit":

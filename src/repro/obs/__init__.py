@@ -4,9 +4,11 @@ The paper's thesis is that cheap, always-on hardware counters beat
 invasive instrumentation; this package applies the same discipline to
 the reproduction itself.  Three primitives:
 
-* **spans** (:mod:`repro.obs.spans`) — nested, monotonic-clock timed
-  regions (``machine.run`` > ``machine.phase``, ``campaign.run`` >
-  ``campaign.experiment``, ``analysis.*`` estimator stages);
+* **spans** (:mod:`repro.obs.trace`) — timed regions with explicit
+  parent edges (``machine.run`` > ``machine.phase``, ``campaign.run`` >
+  ``campaign.experiment``, ``analysis.*`` estimator stages); one model
+  serves a session's local trace and a service request's distributed
+  trace;
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, and
   histograms in a name-keyed registry with deterministic snapshots;
 * **structured logs** (:mod:`repro.obs.logs`) — stdlib logging under the
@@ -26,13 +28,15 @@ Library use::
         analysis, campaign = quick_analysis("swim")
     obs.export_jsonl(s, "metrics.jsonl")
     print(obs.format_profile(s))
+    for row in obs.span_rows(s.tracer.records):  # path/depth from the edges
+        print(row["depth"], row["path"], row["duration_s"])
 
 See ``docs/observability.md`` for the span/metric naming scheme and how
 to read the profile report.
 """
 
 from .diagnostics import AnalysisDiagnostics, FitDiagnostics, revalidate, worst_grade
-from .export import export_jsonl, format_profile, manifest_records, summarize_manifest
+from .export import export_jsonl, format_profile, manifest_records, span_rows, summarize_manifest
 from .lineage import Lineage, LineageCollector
 from .logs import configure_logging, get_logger, kv
 from .metrics import BucketHistogram, Histogram, MetricsRegistry
@@ -48,7 +52,6 @@ from .runtime import (
     session,
     tracer,
 )
-from .spans import Span, SpanRecord, Tracer
 from .telemetry import Telemetry, render_prometheus
 from .trace import TraceBuffer, TraceContext, TraceHandle, TraceSpan
 
@@ -60,9 +63,6 @@ __all__ = [
     "ObsSession",
     "revalidate",
     "worst_grade",
-    "Span",
-    "SpanRecord",
-    "Tracer",
     "BucketHistogram",
     "Histogram",
     "MetricsRegistry",
@@ -90,6 +90,7 @@ __all__ = [
     "registry",
     "render_prometheus",
     "session",
+    "span_rows",
     "summarize_manifest",
     "tracer",
 ]

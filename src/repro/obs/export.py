@@ -5,8 +5,10 @@ The JSONL manifest is the machine-readable artifact (``scaltool
 ``kind`` (``meta`` / ``span`` / ``counter`` / ``gauge`` / ``histogram``).
 Export is deterministic given the observed data: spans appear in start
 order, metrics sort by name, and every object serialises with sorted
-keys — wall-clock readings live only in ``duration_s`` / ``*_seconds``
-*values*, never in names, keys, or ordering.
+keys — wall-clock readings live only in ``start_s`` / ``duration_s`` /
+``*_seconds`` *values*, never in names, keys, or ordering.  A span
+row's ``path``, ``depth`` and ``seq`` are derived here from the parent
+edges the session recorded (:func:`span_rows`).
 
 The text summary (:func:`format_profile`) follows the perfex report
 idiom of this repository (dotted fill, right-aligned values,
@@ -20,8 +22,10 @@ import json
 from pathlib import Path
 
 from .runtime import ObsSession
+from .trace import TraceSpan
 
 __all__ = [
+    "span_rows",
     "manifest_records",
     "export_jsonl",
     "format_profile",
@@ -33,13 +37,55 @@ _HEADER = "# scaltool profile report"
 _META_PREFIX = "# meta: "
 
 
+def span_rows(spans: list[TraceSpan], epoch: float = 0.0) -> list[dict]:
+    """Spans as manifest rows in start order, placed by their parent edges.
+
+    A span whose parent is not in the set is a root.  Rows come out
+    depth first, parents before children, siblings in recording order —
+    which, for spans nested in one thread, is the order they started in —
+    so ``seq`` numbers start order and ``path`` joins the ancestors'
+    names with ``/``.  A span id seen twice (a shared batch copied into
+    each job's tree) is kept once.  ``start_s`` is measured from
+    ``epoch``.
+    """
+    unique: dict[str, TraceSpan] = {}
+    for span in spans:
+        unique.setdefault(span.span_id, span)
+    roots: list[TraceSpan] = []
+    children: dict[str, list[TraceSpan]] = {}
+    for span in unique.values():
+        if span.parent_id in unique:
+            children.setdefault(span.parent_id, []).append(span)
+        else:
+            roots.append(span)
+    rows: list[dict] = []
+    stack = [(span, "", 0) for span in reversed(roots)]
+    while stack:
+        span, prefix, depth = stack.pop()
+        path = prefix + span.name
+        rows.append(
+            {
+                "kind": "span",
+                "name": span.name,
+                "path": path,
+                "depth": depth,
+                "seq": len(rows),
+                "start_s": span.start - epoch,
+                "duration_s": span.duration_s,
+                "attrs": dict(sorted(span.attrs.items())),
+            }
+        )
+        kids = children.get(span.span_id, ())
+        stack.extend((kid, path + "/", depth + 1) for kid in reversed(kids))
+    return rows
+
+
 def manifest_records(session: ObsSession, meta: dict | None = None) -> list[dict]:
     """The session as a list of JSON-ready dicts (deterministic order)."""
     records: list[dict] = []
     if meta:
         records.append({"kind": "meta", **{k: meta[k] for k in sorted(meta)}})
-    for span in session.tracer.in_start_order():
-        records.append(span.to_dict())
+    records.extend(span_rows(session.tracer.records, session.tracer.epoch))
     snap = session.registry.snapshot()
     for name, value in snap["counters"].items():
         records.append({"kind": "counter", "name": name, "value": value})
@@ -76,14 +122,14 @@ def format_profile(session: ObsSession, meta: dict | None = None) -> str:
     if meta:
         lines.append(_META_PREFIX + json.dumps(meta, sort_keys=True))
 
-    spans = session.tracer.in_start_order()
-    if spans:
+    rows = span_rows(session.tracer.records)
+    if rows:
         lines.append("")
         lines.append("Spans (start order):")
-        for rec in spans:
-            label = "  " * rec.depth + rec.name
-            attrs = " ".join(f"{k}={rec.attrs[k]}" for k in sorted(rec.attrs))
-            line = f"  {label:.<52s} {_fmt_seconds(rec.duration_s)}"
+        for row in rows:
+            label = "  " * row["depth"] + row["name"]
+            attrs = " ".join(f"{k}={v}" for k, v in row["attrs"].items())
+            line = f"  {label:.<52s} {_fmt_seconds(row['duration_s'])}"
             if attrs:
                 line += f"  {attrs}"
             lines.append(line)

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from .metrics import NOOP_REGISTRY, MetricsRegistry
-from .spans import NOOP_TRACER, Tracer
+from .trace import NOOP_TRACER, TraceBuffer
 
 __all__ = [
     "ObsSession",
@@ -45,11 +45,17 @@ __all__ = [
 
 
 class ObsSession:
-    """One enable()..disable() window: a tracer plus a metrics registry."""
+    """One enable()..disable() window: a tracer (a :class:`TraceBuffer`
+    holding the session's local trace) plus a metrics registry.
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+    The clock is wall time by default so spans spooled back from worker
+    processes and spans copied from service job trees share its axis;
+    tests inject a deterministic one.
+    """
+
+    def __init__(self, clock: Callable[[], float] = time.time) -> None:
         self.clock = clock
-        self.tracer = Tracer(clock=clock)
+        self.tracer = TraceBuffer(clock=clock)
         self.registry = MetricsRegistry()
         self._previous: "ObsSession | None" = None
 
@@ -57,7 +63,7 @@ class ObsSession:
 _active: ObsSession | None = None
 
 
-def enable(clock: Callable[[], float] = time.perf_counter) -> ObsSession:
+def enable(clock: Callable[[], float] = time.time) -> ObsSession:
     """Install (and return) a fresh session; the previous one is stacked."""
     global _active
     new = ObsSession(clock=clock)
@@ -96,7 +102,7 @@ def registry():
 
 
 @contextmanager
-def session(clock: Callable[[], float] = time.perf_counter) -> Iterator[ObsSession]:
+def session(clock: Callable[[], float] = time.time) -> Iterator[ObsSession]:
     """``with obs.session() as s:`` — enable for a block, always disable."""
     s = enable(clock=clock)
     try:

@@ -22,10 +22,11 @@ Everything is stdlib-only.  The design choices:
   collapsed-stack ("folded") flamegraph format — ``span;frame;frame
   count`` — from which per-line self time, per-function cumulative
   time, and per-span totals are all derived deterministically.
-* **Span attribution from the live tracer.**  Each tick reads the top
-  of the active session's span stack (the same ambient-context idea as
-  :mod:`repro.obs.lineage`); when observability is disabled the sample
-  lands under the empty span (rendered as ``process``).
+* **Span attribution from the open spans.**  Each tick files a
+  thread's stack under the path of the span open in *that* thread
+  (:func:`repro.obs.trace.open_span_path`, derived from the parent
+  edges); a thread with no open span lands under the empty span
+  (rendered as ``process``).
 * **Self-accounting overhead.**  Every tick measures its own cost;
   :meth:`SampleProfile.overhead_ratio` is the profiled/unprofiled wall
   time estimate that the ``scaltool_profile_overhead_ratio`` gauge and
@@ -62,6 +63,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .logs import get_logger
+from .trace import open_span_path
 
 __all__ = [
     "SampleProfile",
@@ -187,7 +189,7 @@ class SampleProfile:
 
         ``span_prefix`` re-parents the other profile's span paths under
         this process's currently open span — the sampler analogue of
-        :meth:`repro.obs.spans.Tracer.graft` — so a worker's
+        :func:`repro.obs.trace.retarget` — so a worker's
         ``engine.execute/...`` samples merge to the exact span path a
         serial execution would have recorded.
         """
@@ -468,23 +470,22 @@ class Sampler:
             watcher_ident = (
                 self._watcher.ident if self._watcher is not None else None
             )
-            span_path = self._span_path()
             if self._all_threads:
                 targets = [
-                    frame
+                    (ident, frame)
                     for ident, frame in sorted(frames.items())
                     if ident != watcher_ident and ident != threading.get_ident()
                 ]
             else:
                 frame = frames.get(self._target_ident)
-                targets = [frame] if frame is not None else []
-            for frame in targets:
+                targets = [(self._target_ident, frame)] if frame is not None else []
+            for ident, frame in targets:
                 stack = self._extract(frame)
                 # Re-check the flags at note time: a tick that raced a
                 # concurrent stop()/pause() drops its sample instead of
                 # recording the stopping code path itself.
                 if stack and not self._stopping and not self._pause_event.is_set():
-                    self.profile.note(span_path, stack)
+                    self.profile.note(open_span_path(ident), stack)
         finally:
             self.profile.overhead_s += self._clock() - t0
 
@@ -502,15 +503,6 @@ class Sampler:
                 # One bad tick (a frame torn down mid-walk) must not kill
                 # the watcher and silently truncate the profile window.
                 _log.warning("sampler tick failed", exc_info=True)
-
-    def _span_path(self) -> str:
-        """The ambient span path: top of the active session's span stack."""
-        from . import runtime as obs
-
-        stack = getattr(obs.tracer(), "_stack", None)
-        if stack:
-            return stack[-1].path
-        return ""
 
     def _extract(self, frame) -> tuple:
         """Frame labels root -> leaf, sampler internals excluded."""

@@ -6,23 +6,26 @@ and ``--metrics-out`` only ever see main-process activity.  The engine
 closes that gap with *spool files*: when the parent has an obs session
 live, each worker run executes under a private session whose spans and
 metrics are serialised to one JSONL file per run; after the batch, the
-parent merges the spools back **in plan order**, so the merged session is
+parent merges the spools back **in plan order**, re-parenting each
+worker's root spans under the span open at merge time
+(:func:`~repro.obs.trace.retarget`), so the merged session is
 structurally identical to what a serial execution would have recorded
 (same span paths, parenting, and start-order; only the timing values
-differ).
+differ).  Spans carry wall-clock starts, so worker spans need no
+re-anchoring onto the parent's time axis.
 
-Spool files exist only while a traced parallel batch is in flight, live
-in a private temp directory, and are deleted after the merge.  When no
-obs session is active and no trace context is attached, no spool
-directory is ever created — disabled mode stays file-free.
+Spool files exist only while a parallel batch runs under an obs
+session, live in a private temp directory, and are deleted after the
+merge.  When no obs session is active no spool directory is ever
+created — disabled mode stays file-free.
 
-Format: JSON lines — one ``meta`` object (pid, wall epoch, spec key),
-then the worker session's span records in start order, then one
-``metrics`` object holding the registry's raw dump, then (when the
-worker sampled itself) one ``sampler`` object holding the folded-stack
+Format: JSON lines — one ``meta`` object (pid, spec key), then the
+worker session's spans in recording order, then one ``metrics`` object
+holding the registry's raw dump, then (when the worker sampled itself)
+one ``sampler`` object holding the folded-stack
 :class:`~repro.obs.sampler.SampleProfile`.  Sampler profiles merge the
-same way spans graft: the worker's span paths are re-parented under the
-span open in the parent at merge time, so a worker's
+same way spans do: the worker's span paths are prefixed with the path
+of the span open in the parent at merge time, so a worker's
 ``engine.execute/machine.run/...`` samples land on the exact span path
 a serial execution would have attributed them to.
 """
@@ -30,15 +33,17 @@ a serial execution would have attributed them to.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 
 from .logs import get_logger, kv
 from .metrics import MetricsRegistry
 from .runtime import ObsSession
 from .sampler import SampleProfile
-from .spans import SpanRecord, Tracer
+from .trace import TraceBuffer, TraceContext, TraceSpan, current, open_span_path, retarget
 
 __all__ = ["SpoolDir", "write_spool", "read_spool", "merge_spool"]
 
@@ -66,22 +71,10 @@ def write_spool(
 ) -> Path:
     """Serialise a worker session to ``path`` (meta, spans, metrics dump,
     and optionally the worker's folded-stack sampling profile)."""
-    import os
-
     path = Path(path)
-    lines = [
-        json.dumps(
-            {
-                "kind": "meta",
-                "pid": os.getpid(),
-                "wall_epoch": session.tracer.wall_epoch,
-                **{k: v for k, v in sorted((meta or {}).items())},
-            },
-            sort_keys=True,
-        )
-    ]
-    for rec in session.tracer.in_start_order():
-        lines.append(json.dumps(rec.to_dict(), sort_keys=True))
+    lines = [json.dumps({"kind": "meta", "pid": os.getpid(), **(meta or {})}, sort_keys=True)]
+    for span in session.tracer.records:
+        lines.append(json.dumps({"kind": "span", **span.to_dict()}, sort_keys=True))
     lines.append(
         json.dumps({"kind": "metrics", **session.registry.dump()}, sort_keys=True)
     )
@@ -97,11 +90,11 @@ def write_spool(
 
 def read_spool(
     path: str | Path,
-) -> tuple[dict, list[SpanRecord], dict, SampleProfile | None]:
-    """``(meta, spans in start order, metrics dump, sampler profile or
+) -> tuple[dict, list[TraceSpan], dict, SampleProfile | None]:
+    """``(meta, spans in recording order, metrics dump, sampler profile or
     None)`` from one spool file."""
     meta: dict = {}
-    spans: list[SpanRecord] = []
+    spans: list[TraceSpan] = []
     metrics: dict = {}
     sampler: SampleProfile | None = None
     for line in Path(path).read_text().splitlines():
@@ -114,17 +107,7 @@ def read_spool(
         elif kind == "sampler":
             sampler = SampleProfile.from_dict(obj.get("profile", {}))
         elif kind == "span":
-            spans.append(
-                SpanRecord(
-                    name=obj["name"],
-                    path=obj["path"],
-                    depth=obj["depth"],
-                    seq=obj["seq"],
-                    duration_s=obj["duration_s"],
-                    attrs=dict(obj.get("attrs", {})),
-                    start_s=float(obj.get("start_s", 0.0)),
-                )
-            )
+            spans.append(TraceSpan.from_dict(obj))
         elif kind == "metrics":
             metrics = {k: v for k, v in obj.items() if k != "kind"}
     return meta, spans, metrics, sampler
@@ -132,30 +115,27 @@ def read_spool(
 
 def merge_spool(
     path: str | Path,
-    tracer: Tracer,
+    tracer: TraceBuffer,
     registry: MetricsRegistry,
     profile: SampleProfile | None = None,
 ) -> bool:
     """Merge one worker spool into the parent session; False if unreadable.
 
-    Spans graft under the currently open parent span (the engine keeps
-    ``engine.run`` open while merging, exactly where a serial execution
-    would have nested them); worker start offsets are re-anchored via the
-    wall-clock epochs of the two sessions.  With a ``profile``, a spooled
-    worker sampling profile merges into it under the same open-span
-    prefix the grafted spans receive.  A missing or corrupt spool is
-    never fatal — the run record itself already made it back in-band.
+    The worker's root spans are re-parented under the currently open
+    span (the engine keeps ``engine.run`` open while merging, exactly
+    where a serial execution would have nested them).  With a
+    ``profile``, a spooled worker sampling profile merges into it under
+    the same open span's path.  A missing or corrupt spool is never
+    fatal — the run record itself already made it back in-band.
     """
     try:
-        meta, spans, metrics, worker_profile = read_spool(path)
+        _meta, spans, metrics, worker_profile = read_spool(path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _log.warning("worker spool unreadable, dropping %s", kv(path=path, reason=exc))
         return False
-    offset = float(meta.get("wall_epoch", tracer.wall_epoch)) - tracer.wall_epoch
-    stack = getattr(tracer, "_stack", None)
-    span_prefix = stack[-1].path if stack else ""
-    tracer.graft(spans, start_offset=offset)
+    parent = current() or TraceContext(trace_id=tracer.trace_id, span_id="")
+    tracer.extend(retarget(spans, parent.trace_id, parent.span_id))
     registry.merge_dump(metrics)
     if profile is not None and worker_profile is not None:
-        profile.merge(worker_profile, span_prefix=span_prefix)
+        profile.merge(worker_profile, span_prefix=open_span_path(threading.get_ident()))
     return True

@@ -1,27 +1,36 @@
-"""Distributed trace context: one span tree per request, across processes.
+"""Spans: the one span model, from a profiling session to a request trace.
 
-The in-process :mod:`repro.obs.spans` tracer times nested regions inside
-one observability session; this module gives a request an *identity*
-that survives every boundary the serving path crosses — client process →
-HTTP → job queue → planner/batcher → ``ProcessPoolExecutor`` workers —
-so a slow or failed analysis can be read back as one rooted tree.
-
-Three pieces:
+Every timed region in the program is a :class:`TraceSpan` with explicit
+``span_id``/``parent_id`` edges, whether it was recorded by an
+observability session (``scaltool profile``, ``--metrics-out``, the
+line sampler) or by the service for one request's trace across
+processes — client → HTTP → job queue → planner/batcher →
+``ProcessPoolExecutor`` workers.
 
 * :class:`TraceContext` — W3C ``traceparent``-style identity
   (``00-<32 hex trace id>-<16 hex span id>-<flags>``), generated by the
   client, carried as an HTTP header, attached to jobs, and serialised
   into engine execution context.
-* :class:`TraceSpan` — one finished span of a distributed trace:
-  explicit ``span_id``/``parent_id`` edges (not implicit nesting),
-  wall-clock ``start`` so spans from different processes order on a
-  shared axis, and the recording ``pid``.
-* :class:`TraceBuffer` — a thread-safe collector.  Spans carry their
-  trace id, so one buffer serves every in-flight request; the service
-  extracts a job's tree by trace id when the job finishes.  Nesting
-  inside one thread uses a :class:`contextvars.ContextVar`, which is
-  inherited across ``asyncio`` tasks and explicit for thread/process
-  hops (pass the :class:`TraceContext`).
+* :class:`TraceSpan` — one finished span: explicit edges (not implicit
+  nesting), wall-clock ``start`` so spans from different processes
+  order on a shared axis, and the recording ``pid``.
+* :class:`TraceBuffer` — a thread-safe collector keyed by trace id.  An
+  obs session's tracer is one (its parentless spans form the session's
+  local trace); the service keeps another for every in-flight request
+  and extracts a job's tree by trace id when the job finishes.
+
+Nesting uses one module-level :class:`contextvars.ContextVar` holding
+the innermost open span, so it is per thread and per ``asyncio`` task;
+thread and process hops are explicit (:func:`attach` a
+:class:`TraceContext`, or pass ``context=``).  A span's path and depth
+are not stored: readers derive them from the parent edges
+(:func:`repro.obs.export.span_rows`, :func:`open_span_path`).
+
+The disabled fast path is :data:`NOOP_TRACER` / :data:`NOOP_SPAN`:
+module-level singletons whose methods do nothing and allocate nothing,
+so instrumented code calls ``obs.tracer().span(...)`` unconditionally at
+run/phase granularity and pays one no-op call when observability is
+off.  Hot loops (per-reference code) never call a tracer.
 
 Propagation is on by default and costs a few dict writes per request;
 ``SCALTOOL_TRACE=0`` (or ``ServiceClient(trace=False)``) disables it
@@ -36,7 +45,7 @@ import re
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterator
 
 __all__ = [
@@ -46,6 +55,13 @@ __all__ = [
     "TraceSpan",
     "TraceBuffer",
     "TraceHandle",
+    "NoopSpan",
+    "NOOP_SPAN",
+    "NoopTracer",
+    "NOOP_TRACER",
+    "current",
+    "attach",
+    "open_span_path",
     "new_trace_id",
     "new_span_id",
     "set_id_source",
@@ -166,16 +182,7 @@ class TraceSpan:
     pid: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start": self.start,
-            "duration_s": self.duration_s,
-            "attrs": dict(sorted(self.attrs.items())),
-            "pid": self.pid,
-        }
+        return {**asdict(self), "attrs": dict(sorted(self.attrs.items()))}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceSpan":
@@ -191,47 +198,124 @@ class TraceSpan:
         )
 
 
-class _LiveSpan:
-    """A live distributed span (context manager handed out by the buffer)."""
+#: The innermost open span (a live span, or a context attached across a
+#: thread/process hop); new spans nest under it.
+_current: contextvars.ContextVar["_LiveSpan | TraceContext | None"] = contextvars.ContextVar(
+    "scaltool_span", default=None
+)
 
-    __slots__ = ("_buffer", "context", "parent_id", "name", "attrs", "_t0", "_token")
+#: Thread ident -> that thread's innermost open live span.  The sampler
+#: reads it from its watcher thread, which cannot see another thread's
+#: context variables.
+_open_by_thread: dict[int, "_LiveSpan"] = {}
+
+
+def _forget_open_spans() -> None:
+    """A forked child (a pool worker) starts with no span open: the
+    parent's open spans are not the child's to nest under."""
+    _open_by_thread.clear()
+    _current.set(None)
+
+
+os.register_at_fork(after_in_child=_forget_open_spans)
+
+
+def current() -> TraceContext | None:
+    """The context a new span would nest under here, or None (a root)."""
+    cur = _current.get()
+    return cur.context if isinstance(cur, _LiveSpan) else cur
+
+
+@contextmanager
+def attach(context: TraceContext | None) -> Iterator[TraceContext | None]:
+    """Make ``context`` current for the block (thread/process handoff)."""
+    token = _current.set(context)
+    try:
+        yield context
+    finally:
+        _current.reset(token)
+
+
+def open_span_path(ident: int) -> str:
+    """``/``-joined names from the outermost to thread ``ident``'s innermost
+    open span, following parent edges; ``""`` when none is open.
+
+    The walk stops at a context attached across a thread hop, since that
+    parent is open in another thread.
+    """
+    span = _open_by_thread.get(ident)
+    names = []
+    while span is not None:
+        names.append(span.name)
+        span = span.parent
+    return "/".join(reversed(names))
+
+
+class _LiveSpan:
+    """An open span (the context manager a buffer hands out)."""
+
+    __slots__ = ("_buffer", "context", "parent_id", "parent", "name", "attrs", "_t0", "_token")
 
     def __init__(
-        self, buffer: "TraceBuffer", context: TraceContext, parent_id: str, name: str, attrs: dict
+        self,
+        buffer: "TraceBuffer",
+        name: str,
+        attrs: dict,
+        parent: "_LiveSpan | TraceContext | None",
     ) -> None:
         self._buffer = buffer
-        self.context = context  # this span's own (trace_id, span_id)
-        self.parent_id = parent_id
         self.name = name
         self.attrs = attrs
         self._t0 = 0.0
         self._token = None
+        #: The enclosing live span in this thread (None past a hop).
+        self.parent = parent if isinstance(parent, _LiveSpan) else None
+        if parent is None:
+            self.context = TraceContext(trace_id=buffer.trace_id, span_id=new_span_id())
+            self.parent_id = ""
+        else:
+            outer = parent.context if self.parent is not None else parent
+            self.context = outer.child()
+            self.parent_id = outer.span_id
 
     def set(self, **attrs) -> "_LiveSpan":
+        """Attach attributes after the span has started."""
         self.attrs.update(attrs)
         return self
 
+    def elapsed(self) -> float:
+        """Seconds since the span started (it must be entered)."""
+        return self._buffer._clock() - self._t0
+
     def __enter__(self) -> "_LiveSpan":
         self._t0 = self._buffer._clock()
-        self._token = self._buffer._current.set(self.context)
+        self._token = _current.set(self)
+        _open_by_thread[threading.get_ident()] = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._token is not None:
-            self._buffer._current.reset(self._token)
+        duration_s = self._buffer._clock() - self._t0
+        _current.reset(self._token)
+        outer = _current.get()
+        if isinstance(outer, _LiveSpan):
+            _open_by_thread[threading.get_ident()] = outer
+        else:
+            _open_by_thread.pop(threading.get_ident(), None)
         if exc_type is not None:
             self.attrs.setdefault("error", str(exc) or exc_type.__name__)
-        self._buffer.record(
-            TraceSpan(
-                trace_id=self.context.trace_id,
-                span_id=self.context.span_id,
-                parent_id=self.parent_id,
-                name=self.name,
-                start=self._t0,
-                duration_s=self._buffer._clock() - self._t0,
-                attrs=self.attrs,
-                pid=os.getpid(),
-            )
+        self._buffer.extend(
+            [
+                TraceSpan(
+                    trace_id=self.context.trace_id,
+                    span_id=self.context.span_id,
+                    parent_id=self.parent_id,
+                    name=self.name,
+                    start=self._t0,
+                    duration_s=duration_s,
+                    attrs=self.attrs,
+                    pid=os.getpid(),
+                )
+            ]
         )
         return False
 
@@ -239,78 +323,56 @@ class _LiveSpan:
 class TraceBuffer:
     """Thread-safe collector of :class:`TraceSpan` records, keyed by trace.
 
-    One buffer per serving process.  Spans for every in-flight trace
-    accumulate here; :meth:`pop_trace` extracts (and forgets) one trace's
-    spans when its job settles, so memory tracks in-flight work, not
-    uptime.
+    A span started with no parent becomes a root of the buffer's own
+    local trace (:attr:`trace_id`).  The service keeps one buffer per
+    process: spans for every in-flight trace accumulate here, and
+    :meth:`pop_trace` extracts (and forgets) one trace's spans when its
+    job settles, so memory tracks in-flight work, not uptime.
     """
 
     def __init__(self, clock: Callable[[], float] = time.time) -> None:
         self._clock = clock
+        self.epoch = clock()  # manifests report start offsets from here
+        self.trace_id = new_trace_id()
         self._lock = threading.Lock()
         self._spans: dict[str, list[TraceSpan]] = {}
-        self._current: contextvars.ContextVar[TraceContext | None] = contextvars.ContextVar(
-            "scaltool_trace_ctx", default=None
-        )
-
-    # -- context ------------------------------------------------------------------
-
-    def current(self) -> TraceContext | None:
-        return self._current.get()
-
-    @contextmanager
-    def attach(self, context: TraceContext | None) -> Iterator[TraceContext | None]:
-        """Make ``context`` current for the block (thread/process handoff)."""
-        token = self._current.set(context)
-        try:
-            yield context
-        finally:
-            self._current.reset(token)
 
     # -- recording ----------------------------------------------------------------
 
     def span(self, name: str, context: TraceContext | None = None, **attrs) -> _LiveSpan:
-        """Start a span under ``context`` (or the current context, or fresh).
+        """Start a span under ``context`` (default: the current span).
 
-        Entering makes the new span the current context, so nested
-        ``span()`` calls in the same thread/task chain correctly.
+        Entering makes the new span current, so nested ``span()`` calls
+        in the same thread/task chain correctly.
         """
-        parent = context if context is not None else self._current.get()
-        if parent is not None:
-            own = parent.child()
-            parent_id = parent.span_id
-        else:
-            own = TraceContext.new_root()
-            parent_id = ""
-        return _LiveSpan(self, own, parent_id, name, attrs)
+        return _LiveSpan(self, name, attrs, context if context is not None else _current.get())
 
     def emit(
         self,
         name: str,
-        context: TraceContext,
-        start: float,
         duration_s: float,
+        context: TraceContext | None = None,
+        start: float | None = None,
         span_id: str | None = None,
         pid: int | None = None,
         **attrs,
     ) -> TraceSpan:
-        """Record a pre-measured span as a child of ``context``."""
+        """Record a pre-measured span as a child of ``context`` (default:
+        the current span); a context with an empty span id makes it a
+        root of that trace.  ``start`` defaults to ``duration_s`` ago."""
+        parent = context if context is not None else current()
         span = TraceSpan(
-            trace_id=context.trace_id,
-            span_id=span_id if span_id is not None else new_span_id(),
-            parent_id=context.span_id,
+            trace_id=parent.trace_id if parent is not None else self.trace_id,
+            span_id=span_id or new_span_id(),
+            parent_id=parent.span_id if parent is not None else "",
             name=name,
-            start=start,
+            start=self._clock() - duration_s if start is None else start,
             duration_s=duration_s,
             attrs=attrs,
-            pid=pid if pid is not None else os.getpid(),
+            pid=pid or os.getpid(),
         )
-        self.record(span)
+        self.extend([span])
         return span
-
-    def record(self, span: TraceSpan) -> None:
-        with self._lock:
-            self._spans.setdefault(span.trace_id, []).append(span)
 
     def extend(self, spans: list[TraceSpan]) -> None:
         with self._lock:
@@ -318,6 +380,15 @@ class TraceBuffer:
                 self._spans.setdefault(span.trace_id, []).append(span)
 
     # -- reads --------------------------------------------------------------------
+
+    @property
+    def records(self) -> list[TraceSpan]:
+        """Every span held, trace by trace, each in recording order."""
+        with self._lock:
+            return [span for spans in self._spans.values() for span in spans]
+
+    def by_name(self, name: str) -> list[TraceSpan]:
+        return [span for span in self.records if span.name == name]
 
     def spans_for(self, trace_id: str) -> list[TraceSpan]:
         with self._lock:
@@ -333,6 +404,48 @@ class TraceBuffer:
             return sum(len(v) for v in self._spans.values())
 
 
+class NoopSpan:
+    """The disabled span: every method is a no-op; a shared singleton."""
+
+    __slots__ = ()
+    context = None
+
+    def set(self, **attrs) -> "NoopSpan":
+        return self
+
+    def elapsed(self) -> float:
+        return 0.0
+
+    def __enter__(self) -> "NoopSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+NOOP_SPAN = NoopSpan()
+
+
+class NoopTracer:
+    """The disabled tracer: hands out :data:`NOOP_SPAN`, records nothing."""
+
+    __slots__ = ()
+
+    records: list = []  # shared, always empty by construction
+
+    def span(self, name: str, context: TraceContext | None = None, **attrs) -> NoopSpan:
+        return NOOP_SPAN
+
+    def emit(self, name: str, duration_s: float, **kwargs) -> None:
+        return None
+
+    def extend(self, spans: list[TraceSpan]) -> None:
+        return None
+
+
+NOOP_TRACER = NoopTracer()
+
+
 def retarget(
     spans: list[TraceSpan], trace_id: str, root_parent_id: str
 ) -> list[TraceSpan]:
@@ -344,19 +457,12 @@ def retarget(
     the target trace.
     """
     ids = {span.span_id for span in spans}
-    out = []
-    for span in spans:
-        parent = span.parent_id if span.parent_id in ids else root_parent_id
-        out.append(
-            TraceSpan(
-                trace_id=trace_id,
-                span_id=span.span_id,
-                parent_id=parent,
-                name=span.name,
-                start=span.start,
-                duration_s=span.duration_s,
-                attrs=dict(span.attrs),
-                pid=span.pid,
-            )
+    return [
+        replace(
+            span,
+            trace_id=trace_id,
+            parent_id=span.parent_id if span.parent_id in ids else root_parent_id,
+            attrs=dict(span.attrs),
         )
-    return out
+        for span in spans
+    ]

@@ -395,9 +395,10 @@ class Executor:
     # -- subclass hooks ---------------------------------------------------------
 
     def _execute_many(
-        self, pending: list[tuple[int, RunSpec]]
-    ) -> Iterator[tuple[int, RunRecord, float, int, int]]:
-        """Yield ``(index, record, seconds, attempts, pid)`` per executed run."""
+        self, pending: list[tuple[int, RunSpec]], tracer
+    ) -> Iterator[tuple[int, RunRecord, float, int]]:
+        """Yield ``(index, record, seconds, attempts)`` per executed run,
+        recording one ``engine.execute`` span per run into ``tracer``."""
         raise NotImplementedError
 
     def map(self, fn: Callable, items: Iterable) -> list:
@@ -420,105 +421,78 @@ class Executor:
         silent on a warm cache); misses execute and are stored.
         ``refresh=True`` bypasses cache reads but rewrites entries.
         With a ``trace`` handle, the batch and every executed run become
-        spans of the caller's distributed trace (``engine.run`` framing
-        one ``engine.execute`` per executed spec, tagged with the
-        worker pid) — this is how the serving path stitches
-        worker-process activity into a job's span tree.
+        spans of the caller's distributed trace instead of the obs
+        session's (``engine.run`` framing one ``engine.execute`` per
+        executed spec, tagged with the pid that ran it) — this is how
+        the serving path stitches worker-process activity into a job's
+        span tree.
         """
         specs = list(specs)
         total = len(specs)
-        tracer = obs.tracer()
+        # One engine.run span: in the caller's trace when handed one, else
+        # in the obs session (a no-op without one).
+        tracer = trace.buffer if trace is not None else obs.tracer()
         reg = obs.registry()
         lin = lineage.current()
         results: list[RunRecord | None] = [None] * total
-        tspan = (
-            trace.buffer.span(
-                "engine.run",
-                context=trace.context,
-                runs=total,
-                executor=type(self).__name__,
-                jobs=getattr(self, "jobs", 1),
-            )
-            if trace is not None
-            else None
-        )
-        if tspan is not None:
-            tspan.__enter__()
-        try:
-            with tracer.span(
-                "engine.run",
-                runs=total,
-                executor=type(self).__name__,
-                jobs=getattr(self, "jobs", 1),
-                cached_reads=cache is not None and not refresh,
-            ) as span:
-                pending: list[tuple[int, RunSpec]] = []
-                hits = 0
-                for i, spec in enumerate(specs):
-                    record = None
-                    if cache is not None and not refresh:
-                        t0 = time.perf_counter()
-                        record = cache.get(spec)
-                        if record is not None:
-                            hits += 1
-                            reg.inc("engine.cache.hit")
-                            results[i] = record
-                            if lin is not None:
-                                lin.note(spec, cached=True, seconds=time.perf_counter() - t0)
-                            if on_outcome is not None:
-                                on_outcome(
-                                    RunOutcome(
-                                        index=i,
-                                        total=total,
-                                        spec=spec,
-                                        record=record,
-                                        cached=True,
-                                        seconds=time.perf_counter() - t0,
-                                        attempts=0,
-                                    )
+        with tracer.span(
+            "engine.run",
+            context=trace.context if trace is not None else None,
+            runs=total,
+            executor=type(self).__name__,
+            jobs=getattr(self, "jobs", 1),
+            cached_reads=cache is not None and not refresh,
+        ) as span:
+            pending: list[tuple[int, RunSpec]] = []
+            hits = 0
+            for i, spec in enumerate(specs):
+                record = None
+                if cache is not None and not refresh:
+                    t0 = time.perf_counter()
+                    record = cache.get(spec)
+                    if record is not None:
+                        hits += 1
+                        reg.inc("engine.cache.hit")
+                        results[i] = record
+                        if lin is not None:
+                            lin.note(spec, cached=True, seconds=time.perf_counter() - t0)
+                        if on_outcome is not None:
+                            on_outcome(
+                                RunOutcome(
+                                    index=i,
+                                    total=total,
+                                    spec=spec,
+                                    record=record,
+                                    cached=True,
+                                    seconds=time.perf_counter() - t0,
+                                    attempts=0,
                                 )
-                    if record is None:
-                        if cache is not None:
-                            reg.inc("engine.cache.miss")
-                        pending.append((i, spec))
-                span.set(cache_hits=hits)
-                if tspan is not None:
-                    tspan.set(cache_hits=hits)
-                for i, record, seconds, attempts, pid in self._execute_many(pending):
-                    reg.inc("engine.runs")
-                    reg.observe("engine.run_seconds", seconds)
+                            )
+                if record is None:
                     if cache is not None:
-                        cache.put(specs[i], record)
-                    results[i] = record
-                    if lin is not None:
-                        lin.note(specs[i], cached=False, seconds=seconds, attempts=attempts)
-                    if tspan is not None:
-                        trace.buffer.emit(
-                            "engine.execute",
-                            tspan.context,
-                            start=time.time() - seconds,
-                            duration_s=seconds,
-                            pid=pid,
-                            workload=specs[i].workload,
-                            role=specs[i].role,
-                            n=specs[i].n_processors,
+                        reg.inc("engine.cache.miss")
+                    pending.append((i, spec))
+            span.set(cache_hits=hits)
+            for i, record, seconds, attempts in self._execute_many(pending, tracer):
+                reg.inc("engine.runs")
+                reg.observe("engine.run_seconds", seconds)
+                if cache is not None:
+                    cache.put(specs[i], record)
+                results[i] = record
+                if lin is not None:
+                    lin.note(specs[i], cached=False, seconds=seconds, attempts=attempts)
+                if on_outcome is not None:
+                    on_outcome(
+                        RunOutcome(
+                            index=i,
+                            total=total,
+                            spec=specs[i],
+                            record=record,
+                            cached=False,
+                            seconds=seconds,
                             attempts=attempts,
                         )
-                    if on_outcome is not None:
-                        on_outcome(
-                            RunOutcome(
-                                index=i,
-                                total=total,
-                                spec=specs[i],
-                                record=record,
-                                cached=False,
-                                seconds=seconds,
-                                attempts=attempts,
-                            )
-                        )
-        finally:
-            if tspan is not None:
-                tspan.__exit__(None, None, None)
+                    )
         return results  # type: ignore[return-value]  # every slot is filled above
 
     # -- shared retry bookkeeping ------------------------------------------------
@@ -536,8 +510,7 @@ class SerialExecutor(Executor):
 
     jobs = 1
 
-    def _execute_one(self, spec: RunSpec) -> tuple[RunRecord, float, int]:
-        tracer = obs.tracer()
+    def _execute_one(self, spec: RunSpec, tracer) -> tuple[RunRecord, float, int]:
         attempts = 0
         while True:
             attempts += 1
@@ -557,11 +530,9 @@ class SerialExecutor(Executor):
                     raise
                 self._note_retry(spec, attempts, exc)
 
-    def _execute_many(self, pending):
-        pid = os.getpid()
+    def _execute_many(self, pending, tracer):
         for i, spec in pending:
-            record, seconds, attempts = self._execute_one(spec)
-            yield i, record, seconds, attempts, pid
+            yield (i, *self._execute_one(spec, tracer))
 
     def map(self, fn: Callable, items: Iterable) -> list:
         items = list(items)
@@ -596,13 +567,14 @@ class ParallelExecutor(Executor):
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
-    def _execute_many(self, pending):
+    def _execute_many(self, pending, tracer):
         if not pending:
             return
         # With a live obs session, each worker run spools its spans/metrics
         # to a file keyed by spec index; after the batch the parent merges
-        # the spools in plan order, so the merged session is structurally
-        # identical to what a SerialExecutor would have recorded.
+        # the spools in plan order, so the merged spans are structurally
+        # identical to what a SerialExecutor would have recorded.  Without
+        # one, the parent records each run's engine.execute span itself.
         spool = obs_spool.SpoolDir() if obs.is_enabled() else None
         # With a live sampler, the pool workers sample themselves (the
         # parent cannot see their stacks) and spool folded profiles; the
@@ -639,9 +611,19 @@ class ParallelExecutor(Executor):
                             attempts[i] += 1
                             futures[submit(i, spec)] = (i, spec)
                             continue
-                        yield i, record, seconds, attempts[i], pid
+                        if spool is None:
+                            tracer.emit(
+                                "engine.execute",
+                                seconds,
+                                pid=pid,
+                                workload=spec.workload,
+                                role=spec.role,
+                                n=spec.n_processors,
+                                attempts=attempts[i],
+                            )
+                        yield i, record, seconds, attempts[i]
             if spool is not None:
-                tracer, registry = obs.tracer(), obs.registry()
+                registry = obs.registry()
                 profile = parent_sampler.profile if parent_sampler is not None else None
                 for i, _spec in pending:
                     path = spool.path(i)

@@ -66,7 +66,7 @@ from ..obs import diagnostics
 from ..obs import runtime as obs
 from ..obs.logs import get_logger, kv
 from ..obs.telemetry import Telemetry
-from ..obs.trace import TraceBuffer, TraceContext, TraceHandle, TraceSpan, new_span_id, retarget
+from ..obs.trace import TraceBuffer, TraceContext, TraceHandle, attach, new_span_id, retarget
 from ..runner.engine import (
     TRANSIENT_EXCEPTIONS,
     RunCache,
@@ -87,25 +87,6 @@ _log = get_logger("service.core")
 
 #: Queue sentinel that sorts after every real job (priorities are finite).
 _STOP = (float("inf"), 0, None)
-
-
-class _NoopSpan:
-    """Stand-in distributed span for untraced jobs (records nothing)."""
-
-    __slots__ = ()
-    context = None
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set(self, **attrs) -> "_NoopSpan":
-        return self
-
-
-_NOOP_SPAN = _NoopSpan()
 
 
 @dataclass(frozen=True)
@@ -153,15 +134,15 @@ class _SpecBatcher:
 
     def __init__(self, service: "AnalysisService") -> None:
         self._service = service
-        self._pending: list[tuple[list[RunSpec], asyncio.Future, TraceContext | None]] = []
+        self._pending: list[tuple[list[RunSpec], asyncio.Future, TraceHandle | None]] = []
         self._wakeup = asyncio.Event()
         self._stopping = False
 
-    async def submit(self, specs: list[RunSpec], trace_ctx: TraceContext | None = None) -> None:
+    async def submit(self, specs: list[RunSpec], trace: TraceHandle | None = None) -> None:
         if self._stopping:
             raise ServiceError("service is shutting down")
         fut = asyncio.get_running_loop().create_future()
-        self._pending.append((specs, fut, trace_ctx))
+        self._pending.append((specs, fut, trace))
         self._wakeup.set()
         await fut
 
@@ -198,7 +179,7 @@ class _SpecBatcher:
             # participant's tree (re-rooted under its waiting span).
             batch_ctx = (
                 TraceContext.new_root()
-                if any(ctx is not None for _, _, ctx in batch)
+                if any(trace is not None for _, _, trace in batch)
                 else None
             )
             failure: BaseException | None = None
@@ -213,9 +194,11 @@ class _SpecBatcher:
             # resolves, so its copy of the batch spans must already be there.
             if batch_ctx is not None:
                 spans = svc.traces.pop_trace(batch_ctx.trace_id)
-                for _, _, ctx in batch:
-                    if ctx is not None:
-                        svc.traces.extend(retarget(spans, ctx.trace_id, ctx.span_id))
+                for _, _, trace in batch:
+                    if trace is not None:
+                        trace.buffer.extend(
+                            retarget(spans, trace.context.trace_id, trace.context.span_id)
+                        )
             for _, fut, _ in batch:
                 if not fut.done():
                     if failure is not None:
@@ -697,17 +680,13 @@ class AnalysisService:
                     obs.registry().observe("service.queue.wait_seconds", wait)
                     self.telemetry.observe("service.queue.wait_seconds", wait)
                     if job.trace_id and job.trace_span:
-                        self.traces.record(
-                            TraceSpan(
-                                trace_id=job.trace_id,
-                                span_id=new_span_id(),
-                                parent_id=job.trace_span,
-                                name="service.queue.wait",
-                                start=enqueued_at,
-                                duration_s=wait,
-                                attrs={"job": job.id, "priority": job.priority},
-                                pid=os.getpid(),
-                            )
+                        self.traces.emit(
+                            "service.queue.wait",
+                            wait,
+                            context=TraceContext(trace_id=job.trace_id, span_id=job.trace_span),
+                            start=enqueued_at,
+                            job=job.id,
+                            priority=job.priority,
                         )
                 t0 = time.perf_counter()
                 try:
@@ -748,23 +727,23 @@ class AnalysisService:
             # — *before* the state flips to terminal: a long-polling
             # waiter wakes the instant the state changes, and its very
             # next read must already see the complete timeline.
-            self.traces.record(
-                TraceSpan(
-                    trace_id=job.trace_id,
-                    span_id=job.trace_span,
-                    parent_id=job.trace_parent or "",
-                    name="service.job",
-                    start=job.created,
-                    duration_s=max(0.0, finished - job.created),
-                    attrs={"job": job.id, "kind": job.kind, "state": state},
-                    pid=os.getpid(),
-                )
+            self.traces.emit(
+                "service.job",
+                max(0.0, finished - job.created),
+                context=TraceContext(trace_id=job.trace_id, span_id=job.trace_parent or ""),
+                start=job.created,
+                span_id=job.trace_span,
+                job=job.id,
+                kind=job.kind,
+                state=state,
             )
             spans = self.traces.pop_trace(job.trace_id)
             try:
                 self.store.put_timeline(job.id, [s.to_dict() for s in spans])
             except OSError as exc:  # pragma: no cover - disk full/readonly race
                 _log.warning("could not persist job timeline %s", kv(job=job.id, reason=exc))
+            # A live obs session receives the finished tree too.
+            obs.tracer().extend(spans)
         with self._lock:
             job.state = state
             job.result = result
@@ -863,9 +842,7 @@ class AnalysisService:
                     "counts": payload["counts"],
                 },
             )
-            with self._tspan("service.blame", job=job.id), obs.tracer().span(
-                "service.blame", job=job.id
-            ):
+            with obs.tracer().span("service.blame", job=job.id):
                 derived = request.execute(
                     cache_root=self.root,
                     executor=SerialExecutor(),
@@ -898,26 +875,21 @@ class AnalysisService:
             "wall_seconds_by_n": {str(n): wall[n] for n in sorted(wall)},
         }
 
-    def _tspan(self, name: str, **attrs):
-        """A distributed span under the current context, or a no-op.
-
-        Untraced jobs must not create spans: a fresh root per span would
-        accumulate in the buffer with nobody to pop it.
-        """
-        if self.traces.current() is None:
-            return _NOOP_SPAN
-        return self.traces.span(name, **attrs)
-
     def _execute_job(self, job: Job) -> dict:
-        """The job body (runs in a job-pool thread): plan, batch, assemble."""
-        job_ctx = (
-            TraceContext(trace_id=job.trace_id, span_id=job.trace_span)
-            if job.trace_id and job.trace_span
-            else None
-        )
-        with self.traces.attach(job_ctx), obs.tracer().span(
-            "service.job", kind=job.kind, job=job.id
-        ):
+        """The job body (runs in a job-pool thread): plan, batch, assemble.
+
+        A traced job records its lifecycle spans into the service's trace
+        buffer, under its own span (emitted by :meth:`_finish`); any other
+        job records them into the obs session, if one is live, under a
+        ``service.job`` span.
+        """
+        if job.trace_id and job.trace_span:
+            tracer = self.traces
+            scope = attach(TraceContext(trace_id=job.trace_id, span_id=job.trace_span))
+        else:
+            tracer = obs.tracer()
+            scope = tracer.span("service.job", kind=job.kind, job=job.id)
+        with scope:
             request = _requests.compile_request(job.kind, job.payload)
             last_exc: BaseException | None = None
             for attempt in range(self.config.retries + 1):
@@ -931,14 +903,16 @@ class AnalysisService:
                         kv(job=job.id, attempt=attempt + 1, max=self.config.retries + 1),
                     )
                 try:
-                    with self._tspan("service.attempt", attempt=attempt + 1):
-                        return self._execute_once(request).to_dict()
+                    with tracer.span("service.attempt", attempt=attempt + 1):
+                        return self._execute_once(request, tracer).to_dict()
                 except TRANSIENT_EXCEPTIONS as exc:
                     last_exc = exc
             assert last_exc is not None
             raise last_exc
 
-    def _execute_once(self, request: _requests.CompiledRequest) -> _requests.RequestResult:
+    def _execute_once(
+        self, request: _requests.CompiledRequest, tracer
+    ) -> _requests.RequestResult:
         plan = self.planner.plan(request)
         claimed_keys = {spec.key() for spec in plan.claimed}
         self._tally("plan.specs", len(plan.specs))
@@ -946,11 +920,14 @@ class AnalysisService:
         self._tally("plan.inflight_waits", len(plan.waiting))
         if plan.claimed:
             assert self._loop is not None and self._batcher is not None
-            with self._tspan(
-                "service.batch.wait", claimed=len(plan.claimed)
-            ) as wait_span:
+            with tracer.span("service.batch.wait", claimed=len(plan.claimed)) as wait_span:
+                handle = (
+                    TraceHandle(tracer, wait_span.context)
+                    if wait_span.context is not None
+                    else None
+                )
                 fut = asyncio.run_coroutine_threadsafe(
-                    self._batcher.submit(plan.claimed, wait_span.context), self._loop
+                    self._batcher.submit(plan.claimed, handle), self._loop
                 )
                 # Re-heartbeat the claims while the batch runs so a long
                 # batch never trips the claim TTL out from under us.
@@ -968,15 +945,13 @@ class AnalysisService:
                 finally:
                     self.planner.complete(plan)
         if plan.waiting:
-            with self._tspan("service.inflight.wait", waiting=len(plan.waiting)):
+            with tracer.span("service.inflight.wait", waiting=len(plan.waiting)):
                 self.planner.wait(plan, timeout=self.config.job_timeout)
         # Everything is (normally) cached now; assembly re-reads the records
         # in request order and runs the pure-analysis stage.  Anything still
         # missing — a failed batch, a corrupt entry — executes serially here,
         # with the engine's own transient-retry logic.
-        with self._tspan("service.assemble", kind=request.kind), obs.tracer().span(
-            "service.assemble", kind=request.kind
-        ):
+        with tracer.span("service.assemble", kind=request.kind):
             result = request.execute(
                 cache_root=self.root,
                 executor=SerialExecutor(),
@@ -998,18 +973,13 @@ class AnalysisService:
     def _run_batch(self, specs: list[RunSpec], batch_ctx: TraceContext | None = None) -> None:
         """Batch body (runs in the dedicated batch thread)."""
         t0 = time.perf_counter()
-        with obs.tracer().span("service.batch", specs=len(specs)):
-            if batch_ctx is not None:
-                with self.traces.span(
-                    "service.batch", context=batch_ctx, specs=len(specs)
-                ) as tspan:
-                    self.executor.run(
-                        specs,
-                        cache=self.run_cache,
-                        trace=TraceHandle(self.traces, tspan.context),
-                    )
-            else:
-                self.executor.run(specs, cache=self.run_cache)
+        if batch_ctx is not None:
+            with self.traces.span("service.batch", context=batch_ctx, specs=len(specs)) as span:
+                self.executor.run(
+                    specs, cache=self.run_cache, trace=TraceHandle(self.traces, span.context)
+                )
+        else:
+            self.executor.run(specs, cache=self.run_cache)
         self.telemetry.observe("engine.batch_seconds", time.perf_counter() - t0)
 
     def _tally(self, name: str, value: int = 1) -> None:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -154,7 +155,6 @@ class Dispatcher:
         self.spawn_timeout = spawn_timeout
         self.workers = [WorkerHandle(i) for i in range(worker_count)]
         self.started_at = time.time()
-        self._port_dir = Path(tempfile.mkdtemp(prefix="scaltool-workers-"))
         self._stopping = False
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
@@ -162,6 +162,8 @@ class Dispatcher:
         self._httpd = _DispatchHTTPServer((host, port), _DispatchHandler)
         self._httpd.daemon_threads = True
         self._httpd.dispatcher = self  # type: ignore[attr-defined]
+        # Made once the port is bound, so a failed bind leaves nothing behind.
+        self._port_dir = Path(tempfile.mkdtemp(prefix="scaltool-workers-"))
         self._thread: threading.Thread | None = None
 
     # -- lifecycle --------------------------------------------------------------
@@ -237,6 +239,7 @@ class Dispatcher:
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
                 handle.proc.kill()
                 handle.proc.wait(timeout=5)
+        shutil.rmtree(self._port_dir, ignore_errors=True)
         _log.debug("dispatcher stopped")
 
     # -- supervision ------------------------------------------------------------

@@ -51,7 +51,6 @@ queue/batcher machinery.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -68,8 +67,7 @@ from ..obs.logs import get_logger, kv
 from ..obs.trace import (
     TRACEPARENT_HEADER,
     TRACESTATE_HEADER,
-    TraceSpan,
-    new_span_id,
+    TraceContext,
     parse_traceparent,
     parse_tracestate_name,
 )
@@ -287,18 +285,14 @@ class _Handler(BaseHTTPRequestHandler):
                     # a placeholder for it now — it anchors the tree — and
                     # do it *before* submit so a fast job cannot finish and
                     # persist its timeline without it.
-                    self.service.traces.record(
-                        TraceSpan(
-                            trace_id=ctx.trace_id,
-                            span_id=ctx.span_id,
-                            parent_id="",
-                            name=parse_tracestate_name(self.headers.get(TRACESTATE_HEADER))
-                            or "client.request",
-                            start=arrived,
-                            duration_s=0.0,
-                            attrs={"remote": True},
-                            pid=os.getpid(),
-                        )
+                    self.service.traces.emit(
+                        parse_tracestate_name(self.headers.get(TRACESTATE_HEADER))
+                        or "client.request",
+                        0.0,
+                        context=TraceContext(trace_id=ctx.trace_id, span_id=""),
+                        start=arrived,
+                        span_id=ctx.span_id,
+                        remote=True,
                     )
                 try:
                     job, deduped = self.service.submit(
@@ -313,17 +307,14 @@ class _Handler(BaseHTTPRequestHandler):
                     raise
                 if ctx is not None:
                     if job.trace_id == ctx.trace_id:
-                        self.service.traces.record(
-                            TraceSpan(
-                                trace_id=ctx.trace_id,
-                                span_id=new_span_id(),
-                                parent_id=ctx.span_id,
-                                name="http.request",
-                                start=arrived,
-                                duration_s=time.time() - arrived,
-                                attrs={"method": "POST", "path": "/v1/jobs", "status": 202},
-                                pid=os.getpid(),
-                            )
+                        self.service.traces.emit(
+                            "http.request",
+                            time.time() - arrived,
+                            context=ctx,
+                            start=arrived,
+                            method="POST",
+                            path="/v1/jobs",
+                            status=202,
                         )
                     else:
                         # Deduped onto a job that belongs to another trace:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core import ScalTool, WhatIf
-from ..errors import ServiceError
+from ..errors import ReproError, ServiceError
 from ..obs import lineage
 from ..runner.campaign import CampaignConfig, ProgressCallback, ScalToolCampaign
 from ..runner.cache import cached_campaign, campaign_cache_dir
@@ -521,7 +521,7 @@ class SweepRequest(CompiledRequest):
             raise ServiceError(
                 f"unknown metric(s) {', '.join(bad)}; available: {', '.join(sorted(allowed))}"
             )
-        return {
+        canonical = {
             "workload": workload_name,
             "params": params,
             "size": size,
@@ -530,9 +530,23 @@ class SweepRequest(CompiledRequest):
             "machine_axes": _axes(payload, "machine_axes"),
             "metrics": list(metrics),
         }
+        # Build every axis value once, alone, so a bad one is rejected on
+        # admission (naming the axis and value), not when the job runs.
+        sweep = self._sweep(canonical)
+        for kind, axes, build in (
+            ("workload", canonical["workload_axes"], sweep.base_workload),
+            ("machine", canonical["machine_axes"], lambda **p: sweep._machine_config(p)),
+        ):
+            for axis, values in axes.items():
+                for value in values:
+                    try:
+                        build(**{axis: value})
+                    except (ReproError, TypeError, ValueError) as exc:
+                        raise ServiceError(f"bad {kind} axis {axis}={value!r}: {exc}") from exc
+        return canonical
 
-    def _sweep(self) -> ParameterSweep:
-        c = self.canonical
+    def _sweep(self, canonical: dict | None = None) -> ParameterSweep:
+        c = canonical or self.canonical
         return ParameterSweep(
             base_workload=lambda **p: make_workload(c["workload"], **{**c["params"], **p}),
             size=c["size"],

@@ -2,7 +2,7 @@
 
 from repro.obs import runtime as obs
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
-from repro.obs.spans import NOOP_TRACER, Tracer
+from repro.obs.trace import NOOP_TRACER, TraceBuffer
 
 
 class TestSwitch:
@@ -17,7 +17,7 @@ class TestSwitch:
         try:
             assert obs.active() is s
             assert obs.is_enabled()
-            assert isinstance(obs.tracer(), Tracer)
+            assert isinstance(obs.tracer(), TraceBuffer)
             assert isinstance(obs.registry(), MetricsRegistry)
             assert obs.tracer() is s.tracer
         finally:

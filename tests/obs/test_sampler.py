@@ -245,9 +245,10 @@ def test_watcher_samples_hot_loop():
         x += 1
     profile = s.stop()
     assert profile.n_samples > 10
-    assert profile.duration_s == pytest.approx(0.2, rel=0.5)
     assert any(func == "test_watcher_samples_hot_loop" for _f, func in profile.frame_set())
-    assert profile.overhead_ratio() < 1.10
+    # The window's wall time and the 1.10 overhead budget depend on
+    # machine load; benchmarks/check_regression.py gates the budget
+    # (bench_profiler_overhead.BUDGET_RATIO), not tier-1.
 
 
 def test_memory_mode_records_peak_and_top_allocators():

@@ -10,6 +10,8 @@ from repro.obs.trace import (
     TraceBuffer,
     TraceContext,
     TraceSpan,
+    attach,
+    current,
     enabled_from_env,
     format_tracestate,
     new_span_id,
@@ -145,7 +147,7 @@ def test_buffer_error_annotation():
 def test_buffer_pop_trace_forgets():
     buf = TraceBuffer()
     ctx = TraceContext.new_root()
-    buf.emit("x", ctx, start=0.0, duration_s=1.0)
+    buf.emit("x", 1.0, context=ctx, start=0.0)
     assert len(buf) == 1
     popped = buf.pop_trace(ctx.trace_id)
     assert [s.name for s in popped] == ["x"]
@@ -156,12 +158,12 @@ def test_buffer_pop_trace_forgets():
 def test_buffer_attach_sets_current():
     buf = TraceBuffer()
     ctx = TraceContext.new_root()
-    assert buf.current() is None
-    with buf.attach(ctx):
-        assert buf.current() == ctx
+    assert current() is None
+    with attach(ctx):
+        assert current() == ctx
         with buf.span("child"):
             pass
-    assert buf.current() is None
+    assert current() is None
     [span] = buf.spans_for(ctx.trace_id)
     assert span.parent_id == ctx.span_id
 
@@ -181,8 +183,8 @@ def test_retarget_reparents_roots_and_keeps_internal_edges(deterministic_ids):
     batch_root = TraceContext.new_root()
     buf = TraceBuffer()
     with buf.span("engine.run", context=batch_root) as run:
-        buf.emit("engine.execute", run.context, start=0.0, duration_s=0.1)
-        buf.emit("engine.execute", run.context, start=0.1, duration_s=0.1)
+        buf.emit("engine.execute", 0.1, context=run.context, start=0.0)
+        buf.emit("engine.execute", 0.1, context=run.context, start=0.1)
     spans = buf.pop_trace(batch_root.trace_id)
 
     out = retarget(spans, trace_id="f" * 32, root_parent_id="a" * 16)

@@ -162,4 +162,4 @@ class TestProgressHook:
         assert len(experiments) == runs
         assert s.registry.histogram("campaign.run_seconds").count == runs
         top = s.tracer.by_name("campaign.run")
-        assert len(top) == 1 and top[0].depth == 0
+        assert len(top) == 1 and top[0].parent_id == ""  # a root span

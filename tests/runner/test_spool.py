@@ -20,6 +20,7 @@ import pytest
 
 from repro.obs import runtime as obs
 from repro.obs import spool as obs_spool
+from repro.obs.export import span_rows
 from repro.obs.sampler import SampleProfile, Sampler
 from repro.runner.engine import ParallelExecutor, RunSpec, SerialExecutor, execute_spec
 
@@ -36,7 +37,12 @@ def _specs(counts=(1, 2), size=16 * 1024):
 
 def _canonical_shape(session) -> list[tuple[str, str, int]]:
     """Structure only: (path, name, depth) in start order, timings dropped."""
-    return [(r.path, r.name, r.depth) for r in session.tracer.in_start_order()]
+    return [(r["path"], r["name"], r["depth"]) for r in span_rows(session.tracer.records)]
+
+
+def _path_depths(spans) -> list[tuple[str, int]]:
+    """(path, depth) in start order, derived from the spans' parent edges."""
+    return [(r["path"], r["depth"]) for r in span_rows(spans)]
 
 
 def _counters(session) -> dict:
@@ -109,7 +115,7 @@ def test_spool_roundtrip_preserves_spans_and_metrics(tmp_path):
     path = obs_spool.write_spool(tmp_path / "run.jsonl", session, meta={"spec": "k"})
     meta, spans, metrics, profile = obs_spool.read_spool(path)
     assert meta["spec"] == "k"
-    assert [(s.path, s.depth) for s in spans] == [("outer", 0), ("outer/inner", 1)]
+    assert _path_depths(spans) == [("outer", 0), ("outer/inner", 1)]
     assert metrics["counters"] == {"events": 3}
     assert metrics["histograms"] == {"lat": [0.5]}
     assert profile is None  # no sampler ran in this worker
@@ -158,7 +164,7 @@ def test_merge_spool_grafts_under_open_span(tmp_path):
     parent = obs.ObsSession()
     with parent.tracer.span("engine.run"):
         assert obs_spool.merge_spool(path, parent.tracer, parent.registry)
-    paths = [r.path for r in parent.tracer.in_start_order()]
+    paths = [path for path, _depth in _path_depths(parent.tracer.records)]
     assert paths == ["engine.run", "engine.run/work"]
 
 

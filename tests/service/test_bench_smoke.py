@@ -17,6 +17,7 @@ def test_service_load_benchmark_smoke(tmp_path):
         # 16 campaign-backed jobs, each spec executed exactly once.
         assert cfg["batch_specs"] <= cfg["plan_specs"] / 8
         assert cfg["dedup_hit_ratio"] > 0.9
-        assert cfg["warm"]["wall_seconds"] <= cfg["cold"]["wall_seconds"]
+        # Warm-vs-cold wall time depends on machine load; check_regression
+        # gates both against the recorded service_load baseline instead.
     assert (tmp_path / "results" / "service_load.json").exists()
     assert (tmp_path / "results" / "service_load.txt").exists()

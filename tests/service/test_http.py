@@ -76,6 +76,12 @@ class TestRoutes:
         with pytest.raises(ServiceError, match="workload"):
             client.submit("analyze", {})
 
+    def test_bad_sweep_axis_400(self, client):
+        payload = {"workload": "synthetic", "workload_axes": {"sharing_frac": [0.55]}}
+        with pytest.raises(ServiceError, match="sharing_frac=0.55"):
+            client.submit("sweep", payload)
+        assert client.jobs() == []
+
     def test_bad_json_body_400(self, server):
         req = urllib.request.Request(
             server.url + "/v1/jobs", data=b"{broken", method="POST"

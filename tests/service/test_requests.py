@@ -49,6 +49,20 @@ class TestCompile:
                 "sweep", {"workload": "synthetic", "workload_axes": {"iters": []}}
             )
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ({"workload_axes": {"sharing_frac": [0.25, 0.55]}}, "workload axis sharing_frac=0.55"),
+            ({"machine_axes": {"protocol": ["mesi", "bogus"]}}, "machine axis protocol='bogus'"),
+            ({"workload_axes": {"no_such_param": [1]}}, "workload axis no_such_param=1"),
+        ],
+    )
+    def test_bad_sweep_axis_value_rejected_on_admission(self, axes, message):
+        # Rejected while compiling (HTTP 400, CLI `error:`), not when the
+        # job runs, and the message names the axis and the value.
+        with pytest.raises(ServiceError, match=message):
+            compile_request("sweep", {"workload": "synthetic", "n": 2, **axes})
+
 
 class TestCanonicalisation:
     def test_defaults_resolved(self):

@@ -150,6 +150,15 @@ class TestCommands:
         assert main(args) == 1
         assert "NAME=V1,V2" in capsys.readouterr().err
 
+    def test_sweep_rejects_unknown_axis_parameter(self, tmp_path, capsys):
+        args = [
+            "sweep", "synthetic", "--size", "16384",
+            "--workload-axis", "no_such_param=1", "--cache-dir", str(tmp_path),
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no_such_param=1" in err
+
     def test_validate(self, tmp_path, capsys):
         args = [
             "validate", "synthetic", "--s0", "163840", "--counts", "1,2",
