@@ -1,17 +1,19 @@
-"""Multi-worker smoke: a small fleet must byte-match the direct CLI path.
+"""Service smoke: ``serve --workers N`` must byte-match the direct CLI path.
 
-``python benchmarks/smoke_multiworker.py`` starts ``scaltool serve
---workers N`` the library way (a :class:`Dispatcher` with N worker
-processes), drives ~20 mixed jobs (analyze / campaign / blame / a fan
-of what-ifs over one shared campaign) through concurrent clients, and
-then:
+``python benchmarks/smoke_multiworker.py --workers N`` starts what
+``scaltool serve --workers N`` starts, the library way — the
+single-process :class:`ServiceServer` at N = 1, a :class:`Dispatcher`
+with N worker processes at N >= 2 — drives ~20 mixed jobs (analyze /
+campaign / blame / a fan of what-ifs over one shared campaign) through
+concurrent clients, and then:
 
 * asserts every job finished and its ``output`` is **byte-identical**
   to the same request executed directly (the CLI code path) against a
   separate cache root;
 * asserts the merged ``/v1/stats`` saw every job and no failures;
-* exports the merged ``/metrics`` exposition, the fleet topology, and
-  one job's distributed trace into ``--export-dir`` (the CI artifact).
+* exports the ``/metrics`` exposition, the topology (``/v1/workers``,
+  or the single process's ``/healthz`` shard view), and one job's
+  distributed trace into ``--export-dir`` (the CI artifact).
 
 Exit status 0 on success, 1 on any mismatch — CI gates on it.
 """
@@ -51,6 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.service.client import ServiceClient
     from repro.service.core import ServiceConfig
     from repro.service.dispatcher import Dispatcher
+    from repro.service.http import ServiceServer
 
     mix = job_mix(args.jobs)
     failures: list[str] = []
@@ -66,13 +69,13 @@ def main(argv: list[str] | None = None) -> int:
                 cache_root=root / "direct"
             ).output
 
-        dispatcher = Dispatcher(
-            ServiceConfig(cache_dir=root / "fleet", workers=2),
-            worker_count=args.workers,
-            port=0,
-        ).start()
+        config = ServiceConfig(cache_dir=root / "fleet", workers=2)
+        if args.workers >= 2:
+            server = Dispatcher(config, worker_count=args.workers, port=0).start()
+        else:
+            server = ServiceServer(config, port=0).start()
         try:
-            client = ServiceClient(dispatcher.url, timeout=60)
+            client = ServiceClient(server.url, timeout=60)
 
             def one(job: tuple[str, dict]) -> tuple[str, str, str]:
                 kind, payload = job
@@ -87,14 +90,14 @@ def main(argv: list[str] | None = None) -> int:
 
             for job_id, kind, output in results:
                 if direct[job_id] != output:
-                    failures.append(f"{kind} {job_id}: fleet output != CLI output")
+                    failures.append(f"{kind} {job_id}: service output != CLI output")
 
             stats = client.stats()
             if stats["jobs"]["failed"]:
-                failures.append(f"fleet reported {stats['jobs']['failed']} failed jobs")
+                failures.append(f"service reported {stats['jobs']['failed']} failed jobs")
             if stats["jobs"]["done"] < len(mix):
                 failures.append(
-                    f"fleet reported {stats['jobs']['done']} done jobs, "
+                    f"service reported {stats['jobs']['done']} done jobs, "
                     f"expected >= {len(mix)}"
                 )
 
@@ -102,8 +105,9 @@ def main(argv: list[str] | None = None) -> int:
                 export = Path(args.export_dir)
                 export.mkdir(parents=True, exist_ok=True)
                 (export / "metrics_multiworker.prom").write_text(client.metrics())
+                topology = client.workers() if args.workers >= 2 else client.health()["shard"]
                 (export / "workers.json").write_text(
-                    json.dumps(client.workers(), indent=2, sort_keys=True) + "\n"
+                    json.dumps(topology, indent=2, sort_keys=True) + "\n"
                 )
                 traced = [j for j in client.jobs() if j.get("trace_id")]
                 if traced:
@@ -114,13 +118,13 @@ def main(argv: list[str] | None = None) -> int:
                         + "\n"
                     )
         finally:
-            dispatcher.shutdown()
+            server.shutdown()
 
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1
     print(
-        f"multiworker smoke ok: {len(mix)} jobs through {args.workers} workers, "
+        f"service smoke ok: {len(mix)} jobs through serve --workers {args.workers}, "
         f"all byte-identical to the CLI path"
     )
     return 0

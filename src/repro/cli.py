@@ -1082,7 +1082,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "serve":
-        from .service import ServiceConfig
+        from .service import Dispatcher, ServiceConfig, ServiceServer
 
         config = ServiceConfig(
             cache_dir=args.cache_dir,
@@ -1093,9 +1093,7 @@ def _dispatch(args) -> int:
             claim_ttl=args.claim_ttl,
         )
         if args.workers >= 2:
-            from .service.dispatcher import serve_dispatcher
-
-            server = serve_dispatcher(
+            server = Dispatcher(
                 config, worker_count=args.workers, host=args.host, port=args.port
             )
             print(
@@ -1104,9 +1102,7 @@ def _dispatch(args) -> int:
                 file=sys.stderr,
             )
         else:
-            from .service.http import serve
-
-            server = serve(config, host=args.host, port=args.port)
+            server = ServiceServer(config, host=args.host, port=args.port)
             print(f"scaltool service listening on {server.url}", file=sys.stderr)
 
         def _terminate(signum, frame):  # noqa: ARG001 - signal API

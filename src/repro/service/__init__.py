@@ -11,7 +11,9 @@ inference-serving-shaped stack (queue -> planner -> batcher -> executor
   byte-identical to the corresponding ``scaltool`` invocation.
 * :mod:`repro.service.planner` — compiles a request to its
   :class:`~repro.runner.engine.RunSpec` set and deduplicates specs that
-  are already cached on disk or in flight on behalf of another job.
+  are already cached on disk or in flight on behalf of another job,
+  through the one claim table every deployment shares
+  (:class:`~repro.service.shared.SqliteClaimTable`).
 * :mod:`repro.service.store` — the persistent job store (one atomic JSON
   file per job under the cache root): jobs survive a restart and the
   ``status`` / ``result`` endpoints are idempotent.
@@ -22,13 +24,17 @@ inference-serving-shaped stack (queue -> planner -> batcher -> executor
   of transient failures, and drain-on-shutdown.
 * :mod:`repro.service.http` / :mod:`repro.service.client` — a stdlib
   HTTP JSON API (``scaltool serve``) and the matching Python client.
-* :mod:`repro.service.sharding` / :mod:`repro.service.shared` /
-  :mod:`repro.service.dispatcher` / :mod:`repro.service.worker` — the
-  multi-process deployment (``scaltool serve --workers N``): a
-  dispatcher consistent-hashes content-addressed job fingerprints onto
-  N worker processes, which share the run cache (SQLite-indexed), a
-  cross-process claim table with TTL/heartbeat expiry, and the job
-  store; ``/metrics`` and ``/healthz`` serve merged whole-system views.
+* :mod:`repro.service.shared` — the state every service process keeps
+  under the cache root: the SQLite claim table (TTL/heartbeat and
+  owner-liveness expiry) and the run-cache index.  A single process is
+  shard 0 of 1 on them.
+* :mod:`repro.service.sharding` / :mod:`repro.service.dispatcher` /
+  :mod:`repro.service.worker` — ``scaltool serve --workers N``: a thin
+  router on the same HTTP front consistent-hashes content-addressed job
+  fingerprints onto N worker processes, each a full single-process
+  service on the shared cache root; ``/metrics`` and ``/healthz`` serve
+  merged whole-system views.  A root whose shared files cannot be made
+  starts every service degraded (503 on submit), at any worker count.
 
 Library use::
 
@@ -50,7 +56,7 @@ from .client import ServiceClient
 from .core import AnalysisService, ServiceConfig
 from .dispatcher import Dispatcher
 from .http import ServiceServer
-from .planner import InFlightTable, RequestPlan, RequestPlanner
+from .planner import RequestPlan, RequestPlanner
 from .requests import REQUEST_KINDS, CompiledRequest, RequestResult, compile_request
 from .sharding import HashRing
 from .shared import IndexedRunCache, RunCacheIndex, SqliteClaimTable
@@ -68,7 +74,6 @@ __all__ = [
     "SqliteClaimTable",
     "Job",
     "JobStore",
-    "InFlightTable",
     "RequestPlan",
     "RequestPlanner",
     "REQUEST_KINDS",

@@ -76,7 +76,7 @@ from ..runner.engine import (
     default_executor,
 )
 from . import requests as _requests
-from .planner import InFlightTable, RequestPlanner
+from .planner import RequestPlanner
 from .sharding import HashRing
 from .shared import IndexedRunCache, RunCacheIndex, SqliteClaimTable
 from .store import ACTIVE_STATES, TERMINAL_STATES, Job, JobStore
@@ -219,37 +219,30 @@ class AnalysisService:
         )
         self.store = JobStore(self.root / "service" / "jobs")
         self.ring = HashRing(self.config.shard_count)
+        # Every service, one process or a worker of many, keeps its run-cache
+        # index and its claim table in SQLite-WAL files under the cache root,
+        # so every process on that root sees the same state.  A root where
+        # they cannot be made degrades the service (503s from start()); a
+        # degraded service admits no job, so it plans nothing and needs no
+        # claim table — a plain run cache serves its read endpoints.
+        self.degraded: str | None = None
+        self.planner: RequestPlanner | None = None
         try:
-            # The run-cache membership index (and, under a multi-worker
-            # dispatcher, the claim table) lives in SQLite-WAL files under
-            # the cache root so every worker process sees the same state.
             self.run_cache: RunCache = IndexedRunCache(
                 self.root / "runs",
                 RunCacheIndex(self.root / "service" / "run_index.sqlite"),
             )
-            inflight = (
-                SqliteClaimTable(
-                    self.root / "service" / "claims.sqlite", ttl=self.config.claim_ttl
-                )
-                if self.config.shard_count > 1
-                else InFlightTable(ttl=self.config.claim_ttl)
+            claims = SqliteClaimTable(
+                self.root / "service" / "claims.sqlite", ttl=self.config.claim_ttl
             )
         except (OSError, sqlite3.OperationalError) as exc:
-            # An unwritable cache root must degrade (503s from start()),
-            # not crash construction — but a multi-worker shard cannot
-            # run without its shared claim table.
-            if self.config.shard_count > 1:
-                raise StoreUnavailableError(
-                    f"cannot create shared store under {self.root}: {exc}"
-                ) from exc
-            _log.warning("shared-store files unavailable %s", kv(reason=exc))
+            self.degraded = f"{type(exc).__name__}: {exc}"
             self.run_cache = RunCache(self.root / "runs")
-            inflight = InFlightTable(ttl=self.config.claim_ttl)
-        self.planner = RequestPlanner(self.run_cache, inflight)
+        else:
+            self.planner = RequestPlanner(self.run_cache, claims)
         self.executor = default_executor(self.config.jobs)
         self.traces = TraceBuffer()
         self.telemetry = Telemetry()
-        self.degraded: str | None = None  # store-unwritable reason, set by start()
 
         self._lock = threading.Lock()
         self._done_cv = threading.Condition(self._lock)
@@ -284,7 +277,7 @@ class AnalysisService:
         self._thread.start()
         asyncio.run_coroutine_threadsafe(self._setup(), self._loop).result(timeout=10)
         self._started = True
-        self.degraded = self.store.check_writable()
+        self.degraded = self.degraded or self.store.check_writable()
         if self.degraded is None:
             self._recover()
         else:
@@ -351,7 +344,7 @@ class AnalysisService:
             time.sleep(0.02)
 
     def close(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        """Drain (optionally), stop all tasks, and tear the loop down."""
+        """Drain (optionally), stop all tasks, tear the loop down, close the SQLite files."""
         if not self._started:
             return
         if drain:
@@ -367,8 +360,13 @@ class AnalysisService:
         loop.call_soon_threadsafe(loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=5)
+        if not loop.is_running():
+            loop.close()
         self._job_pool.shutdown(wait=False)
         self._batch_pool.shutdown(wait=False)
+        if self.planner is not None:  # the SQLite files this service opened
+            self.planner.claims.close()
+            self.planner.cache.index.close()
         self._started = False
         _log.debug("service stopped")
 
@@ -414,7 +412,13 @@ class AnalysisService:
             raise StoreUnavailableError(f"job store is not writable: {self.degraded}")
         request = _requests.compile_request(kind, payload)
         job_id = request.fingerprint()
-        priority = self.config.default_priority if priority is None else int(priority)
+        if priority is None:
+            priority = self.config.default_priority
+        else:
+            try:
+                priority = int(priority)
+            except (TypeError, ValueError):
+                raise ServiceError(f"bad priority {priority!r}; expected an integer") from None
         with self._lock:
             existing = self._jobs.get(job_id)
             if existing is not None and existing.state != "failed":
@@ -492,45 +496,27 @@ class AnalysisService:
                 raise ServiceError(f"timed out waiting for job {job_id}")
             time.sleep(poll)
 
-    def jobs(self) -> list[Job]:
-        with self._lock:
-            return sorted(self._jobs.values(), key=lambda j: j.created)
-
-    def jobs_view(
+    def jobs(
         self,
-        limit: int | None = None,
-        offset: int = 0,
         state: str | None = None,
         fingerprint: str | None = None,
         since: float | None = None,
-    ) -> dict:
-        """A filtered, paginated job listing (``GET /v1/jobs?...``).
+    ) -> list[Job]:
+        """Jobs in submission order, filtered (``GET /v1/jobs?...``).
 
         Filters compose: ``state`` matches the job state exactly,
         ``fingerprint`` is a job-id prefix (the fingerprint *is* the id),
         ``since`` keeps jobs submitted at or after the epoch timestamp.
-        The page is cut *after* filtering; ``total`` counts the filtered
-        set so callers can page through it.
         """
-        if limit is not None and limit < 0:
-            raise ServiceError(f"bad limit {limit}; expected a non-negative integer")
-        if offset < 0:
-            raise ServiceError(f"bad offset {offset}; expected a non-negative integer")
-        jobs = self.jobs()
-        if state is not None:
-            jobs = [j for j in jobs if j.state == state]
-        if fingerprint is not None:
-            jobs = [j for j in jobs if j.id.startswith(fingerprint)]
-        if since is not None:
-            jobs = [j for j in jobs if j.created >= since]
-        total = len(jobs)
-        page = jobs[offset:] if limit is None else jobs[offset : offset + limit]
-        return {
-            "jobs": [j.summary() for j in page],
-            "total": total,
-            "limit": limit,
-            "offset": offset,
-        }
+        with self._lock:
+            jobs = sorted(self._jobs.values(), key=lambda j: j.created)
+        return [
+            j
+            for j in jobs
+            if (state is None or j.state == state)
+            and (fingerprint is None or j.id.startswith(fingerprint))
+            and (since is None or j.created >= since)
+        ]
 
     def stats(self) -> dict:
         """Always-on service tallies plus current queue occupancy."""

@@ -1,14 +1,21 @@
-"""The multi-process front: dispatcher + N worker processes.
+"""The multi-process front: a router over N single-process services.
 
 ``scaltool serve --workers N`` (N >= 2) starts this instead of a single
 :class:`~repro.service.http.ServiceServer`::
 
-    client ──► Dispatcher (ThreadingHTTPServer, this process)
+    client ──► Dispatcher (the HTTP front of repro.service.http, this process)
                   │  consistent-hash(job fingerprint) -> home shard
                   ▼
-               worker 0..N-1 (subprocess, python -m repro.service.worker)
-                  │  shared cache root: run cache + SQLite index,
-                  ▼  SQLite claim table, job store (shard-filtered)
+               worker 0..N-1 (subprocess, python -m repro.service.worker:
+                  │            a ServiceServer, shard i of N)
+                  ▼  shared cache root: run cache + SQLite index,
+                     SQLite claim table, job store (shard-filtered)
+
+Each worker is the same service ``scaltool serve --workers 1`` runs, on
+the same cache-root files — one claim table, one run-cache index, one
+job store — so the dispatcher only routes.  It shares the HTTP front's
+response writer, body and query parsers, server class and lifecycle
+(:mod:`repro.service.http`); only its route table is its own.
 
 Routing: every job-scoped request (submit, status, result, trace,
 lineage, blame) is forwarded — raw bytes, untouched — to the job's home
@@ -16,7 +23,9 @@ shard, chosen by consistent-hashing the content-addressed fingerprint.
 Identical requests therefore land on the same worker and dedup there;
 no cross-process dedup race exists by construction.  Spec-level overlap
 *between different jobs* on different shards is handled by the shared
-SQLite claim table underneath.
+SQLite claim table underneath.  Forwards ride one keep-alive
+:class:`~repro.service.client.ServiceClient` connection per handler
+thread and worker.
 
 Whole-system views fan out and merge: ``/healthz`` and ``/v1/stats``
 aggregate worker answers, ``/metrics`` merges the Prometheus
@@ -35,7 +44,7 @@ retries across a restart window instead of failing the client.
 
 from __future__ import annotations
 
-import http.client
+import dataclasses
 import json
 import os
 import shutil
@@ -44,18 +53,29 @@ import sys
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlencode
 
 from ..errors import ReproError, ServiceError
 from ..obs import telemetry as _telemetry
 from ..obs.logs import get_logger, kv
 from ..runner.engine import default_cache_root
 from . import requests as _requests
+from .client import ServiceClient
 from .core import ServiceConfig
+from .http import (
+    _drain_timeout,
+    _HTTPFront,
+    _jobs_page,
+    _jobs_query,
+    _json_object,
+    _JsonHandler,
+    _profile_params,
+    _submit_kind,
+)
 from .sharding import HashRing
 
-__all__ = ["Dispatcher", "WorkerHandle", "serve_dispatcher"]
+__all__ = ["Dispatcher", "WorkerHandle"]
 
 _log = get_logger("service.dispatcher")
 
@@ -67,17 +87,15 @@ SUPERVISE_INTERVAL = 0.2
 
 
 class WorkerHandle:
-    """One spawned worker process and how to reach it."""
+    """One spawned worker process and the client that reaches it."""
 
     def __init__(self, shard: int) -> None:
         self.shard = shard
         self.proc: subprocess.Popen | None = None
         self.port: int | None = None
         self.pid: int | None = None
+        self.client: ServiceClient | None = None  # replaced on every (re)spawn
         self.restarts = -1  # first spawn brings it to 0
-        self.port_file: Path | None = None
-        self._local = threading.local()
-        self._lock = threading.Lock()
 
     @property
     def alive(self) -> bool:
@@ -86,35 +104,6 @@ class WorkerHandle:
     @property
     def url(self) -> str | None:
         return f"http://127.0.0.1:{self.port}" if self.port else None
-
-    def connection(self, timeout: float) -> http.client.HTTPConnection:
-        """A keep-alive connection to this worker, one per calling thread.
-
-        Invalidated (closed + rebuilt) whenever the worker's port moved
-        — i.e. after a restart.
-        """
-        conn = getattr(self._local, "conn", None)
-        if conn is not None and getattr(self._local, "port", None) == self.port:
-            conn.timeout = timeout
-            return conn
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already dead
-                pass
-        conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=timeout)
-        self._local.conn = conn
-        self._local.port = self.port
-        return conn
-
-    def drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._local.conn = None
 
     def view(self) -> dict:
         return {
@@ -126,13 +115,7 @@ class WorkerHandle:
         }
 
 
-class _DispatchHTTPServer(ThreadingHTTPServer):
-    # Stdlib default backlog (5) resets connections under a burst of
-    # reconnecting clients; the dispatcher fronts the whole fleet.
-    request_queue_size = 128
-
-
-class Dispatcher:
+class Dispatcher(_HTTPFront):
     """Spawns, supervises, and routes to the worker fleet."""
 
     def __init__(
@@ -159,70 +142,24 @@ class Dispatcher:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._supervisor: threading.Thread | None = None
-        self._httpd = _DispatchHTTPServer((host, port), _DispatchHandler)
-        self._httpd.daemon_threads = True
-        self._httpd.dispatcher = self  # type: ignore[attr-defined]
+        super().__init__(_DispatchHandler, host, port)
         # Made once the port is bound, so a failed bind leaves nothing behind.
         self._port_dir = Path(tempfile.mkdtemp(prefix="scaltool-workers-"))
-        self._thread: threading.Thread | None = None
 
     # -- lifecycle --------------------------------------------------------------
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "Dispatcher":
+    def _open(self) -> None:
         for handle in self.workers:
             self._spawn(handle)
         self._supervisor = threading.Thread(
             target=self._supervise, name="scaltool-supervisor", daemon=True
         )
         self._supervisor.start()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="scaltool-dispatch-http",
-            daemon=True,
-            kwargs={"poll_interval": 0.05},
-        )
-        self._thread.start()
-        _log.debug(
-            "dispatcher up %s",
-            kv(url=self.url, workers=self.worker_count, root=self.root),
-        )
-        return self
+        _log.debug("dispatcher up %s", kv(workers=self.worker_count, root=self.root))
 
-    def serve_forever(self) -> None:
-        for handle in self.workers:
-            self._spawn(handle)
-        self._supervisor = threading.Thread(
-            target=self._supervise, name="scaltool-supervisor", daemon=True
-        )
-        self._supervisor.start()
-        _log.debug(
-            "dispatcher up %s",
-            kv(url=self.url, workers=self.worker_count, root=self.root),
-        )
-        try:
-            self._httpd.serve_forever(poll_interval=0.2)
-        finally:
-            self.shutdown()
-
-    def shutdown(self, drain_timeout: float | None = 30.0) -> None:
+    def _close(self, drain_timeout: float | None) -> None:
         with self._lock:
-            if self._stopping:
-                return
             self._stopping = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
         if self._supervisor is not None:
             self._supervisor.join(timeout=5)
             self._supervisor = None
@@ -250,27 +187,23 @@ class Dispatcher:
             port_file.unlink()
         except FileNotFoundError:
             pass
-        cfg = self.config
+        config = dataclasses.replace(
+            self.config,
+            cache_dir=str(self.root),
+            shard_index=handle.shard,
+            shard_count=self.worker_count,
+        )
         cmd = [
             sys.executable,
             "-m",
             "repro.service.worker",
-            "--cache-dir", str(self.root),
-            "--shard-index", str(handle.shard),
-            "--shard-count", str(self.worker_count),
-            "--port-file", str(port_file),
-            "--jobs", str(cfg.jobs),
-            "--concurrency", str(cfg.workers),
-            "--max-queue", str(cfg.max_queue),
-            "--job-timeout", str(cfg.job_timeout),
-            "--batch-window", str(cfg.batch_window),
-            "--claim-ttl", str(cfg.claim_ttl),
+            json.dumps(dataclasses.asdict(config)),
+            str(port_file),
         ]
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
         handle.proc = subprocess.Popen(cmd, env=env)
-        handle.port_file = port_file
         deadline = time.monotonic() + self.spawn_timeout
         while time.monotonic() < deadline:
             if handle.proc.poll() is not None:
@@ -282,6 +215,7 @@ class Dispatcher:
                 info = json.loads(port_file.read_text())
                 handle.port = int(info["port"])
                 handle.pid = int(info["pid"])
+                handle.client = ServiceClient(handle.url)
                 break
             except (OSError, ValueError, KeyError):
                 time.sleep(0.02)
@@ -349,19 +283,14 @@ class Dispatcher:
         deadline = time.monotonic() + RESTART_GRACE
         last: Exception | None = None
         while time.monotonic() < deadline:
-            if not handle.alive or handle.port is None:
+            client = handle.client
+            if not handle.alive or client is None:
                 time.sleep(0.05)
                 continue
-            conn = handle.connection(timeout)
             try:
-                conn.request(method, path, body=body, headers=headers or {})
-                resp = conn.getresponse()
-                payload = resp.read()
-                resp_headers = {k: v for k, v in resp.getheaders()}
-                return resp.status, resp_headers, payload
-            except (http.client.HTTPException, OSError) as exc:
+                return client._raw(method, path, data=body, headers=headers, timeout=timeout)
+            except ServiceError as exc:
                 last = exc
-                handle.drop_connection()
                 self._tally("forward.retries")
                 time.sleep(0.05)
         raise ServiceError(
@@ -480,7 +409,6 @@ class Dispatcher:
         reply arrival order.
         """
         from ..obs.sampler import SampleProfile
-        from .http import _profile_params
 
         seconds, interval_s = _profile_params(raw_query)
         downstream = "/v1/profile"
@@ -520,34 +448,17 @@ class Dispatcher:
 
     def jobs_view(self, raw_query: str) -> dict:
         """Merged ``GET /v1/jobs``: filters pushed down, paging done here."""
-        from urllib.parse import parse_qsl, urlencode
-
-        params = dict(parse_qsl(raw_query, keep_blank_values=True))
-        limit = params.pop("limit", None)
-        offset = params.pop("offset", None)
-        try:
-            limit = int(limit) if limit is not None else None
-            offset = int(offset) if offset is not None else 0
-        except ValueError as exc:
-            raise ReproError(f"bad limit/offset: {exc}") from None
-        if (limit is not None and limit < 0) or offset < 0:
-            raise ReproError("limit/offset must be non-negative")
-        downstream = "/v1/jobs" + (f"?{urlencode(params)}" if params else "")
+        filters, limit, offset = _jobs_query(raw_query)
+        downstream = "/v1/jobs" + (f"?{urlencode(filters)}" if filters else "")
         merged: dict[str, dict] = {}
         for _handle, status, payload in self.fan_out("GET", downstream, timeout=30.0):
+            body = json.loads(payload)
             if status != 200:
-                body = {}
-                try:
-                    body = json.loads(payload)
-                except json.JSONDecodeError:
-                    pass
                 raise ReproError(body.get("error", f"worker answered {status}"))
-            for summary in json.loads(payload).get("jobs", []):
+            for summary in body.get("jobs", []):
                 merged.setdefault(summary["id"], summary)
         ordered = sorted(merged.values(), key=lambda j: j["created"])
-        total = len(ordered)
-        page = ordered[offset:] if limit is None else ordered[offset : offset + limit]
-        return {"jobs": page, "total": total, "limit": limit, "offset": offset}
+        return _jobs_page(ordered, limit, offset)
 
     def drain(self, timeout: float | None) -> bool:
         body = json.dumps({} if timeout is None else {"timeout": timeout}).encode()
@@ -573,150 +484,73 @@ class Dispatcher:
         }
 
 
-class _DispatchHandler(BaseHTTPRequestHandler):
+class _DispatchHandler(_JsonHandler):
+    """The dispatcher's routes: merged views here, job routes forwarded."""
+
     server_version = "scaltool-dispatcher"
-    protocol_version = "HTTP/1.1"
 
     #: Request headers worth carrying to the worker.
     _FORWARD_HEADERS = ("content-type", "traceparent", "tracestate")
 
     @property
     def dispatcher(self) -> Dispatcher:
-        return self.server.dispatcher  # type: ignore[attr-defined]
+        return self.front
 
-    def log_message(self, fmt: str, *args) -> None:  # quiet by default
-        _log.debug("http %s", kv(client=self.client_address[0], line=fmt % args))
-
-    def _send_json(self, status: int, body: dict, headers: dict | None = None) -> None:
-        payload = (json.dumps(body, sort_keys=True) + "\n").encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _relay(self, handle: WorkerHandle, status: int, headers: dict, payload: bytes) -> None:
-        """Pass a worker response through byte-for-byte."""
-        self.send_response(status)
-        self.send_header(
-            "Content-Type", headers.get("Content-Type", "application/json")
-        )
-        self.send_header("Content-Length", str(len(payload)))
-        if "Retry-After" in headers:
-            self.send_header("Retry-After", headers["Retry-After"])
-        self.send_header("X-Scaltool-Worker", str(handle.shard))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _proxy(self, handle: WorkerHandle, timeout: float = 120.0) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else None
+    def _proxy(self, handle: WorkerHandle, body: bytes) -> None:
+        """Forward this request to ``handle``; relay the answer byte-for-byte."""
         headers = {
             name: value
             for name, value in self.headers.items()
             if name.lower() in self._FORWARD_HEADERS
         }
-        if body is not None:
+        if body:
             headers["Content-Length"] = str(len(body))
         try:
             status, resp_headers, payload = self.dispatcher.forward(
-                handle, self.command, self.path, body=body, headers=headers, timeout=timeout
+                handle, self.command, self.path, body=body or None, headers=headers
             )
         except ServiceError as exc:
-            self._send_json(503, {"error": str(exc)})
+            self._send(503, {"error": str(exc)})
             return
-        self._relay(handle, status, resp_headers, payload)
+        relayed = {}
+        if "Retry-After" in resp_headers:
+            relayed["Retry-After"] = resp_headers["Retry-After"]
+        relayed["X-Scaltool-Worker"] = str(handle.shard)
+        content_type = resp_headers.get("Content-Type", "application/json")
+        self._send_bytes(status, payload, content_type, relayed)
 
-    def _route_job(self, job_id: str) -> WorkerHandle:
-        return self.dispatcher.shard_of(job_id)
+    def _get(self, parts: list[str], query: str) -> None:
+        if parts == ["healthz"]:
+            status, body = self.dispatcher.health()
+            self._send(status, body)
+        elif parts == ["metrics"]:
+            text = self.dispatcher.metrics()
+            self._send_bytes(200, text.encode(), _telemetry.CONTENT_TYPE)
+        elif parts == ["v1", "stats"]:
+            self._send(200, self.dispatcher.stats())
+        elif parts == ["v1", "workers"]:
+            self._send(200, self.dispatcher.workers_view())
+        elif parts == ["v1", "jobs"]:
+            self._send(200, self.dispatcher.jobs_view(query))
+        elif parts == ["v1", "profile"]:
+            self._send(200, self.dispatcher.profile_view(query))
+        elif len(parts) >= 3 and parts[:2] == ["v1", "jobs"]:
+            # Job-scoped: status/result/trace/lineage/blame — long polls
+            # included — go to the job's home shard untouched.
+            self._proxy(self.dispatcher.shard_of(parts[2]), self._read_body())
+        else:
+            self._no_route()
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib API
-        try:
-            path, _, raw_query = self.path.partition("?")
-            parts = [p for p in path.split("/") if p]
-            if parts == ["healthz"]:
-                status, body = self.dispatcher.health()
-                self._send_json(status, body)
-            elif parts == ["metrics"]:
-                text = self.dispatcher.metrics().encode()
-                self.send_response(200)
-                self.send_header("Content-Type", _telemetry.CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(text)))
-                self.end_headers()
-                self.wfile.write(text)
-            elif parts == ["v1", "stats"]:
-                self._send_json(200, self.dispatcher.stats())
-            elif parts == ["v1", "workers"]:
-                self._send_json(200, self.dispatcher.workers_view())
-            elif parts == ["v1", "jobs"]:
-                self._send_json(200, self.dispatcher.jobs_view(raw_query))
-            elif parts == ["v1", "profile"]:
-                self._send_json(200, self.dispatcher.profile_view(raw_query))
-            elif len(parts) >= 3 and parts[:2] == ["v1", "jobs"]:
-                # Job-scoped: status/result/trace/lineage/blame — long
-                # polls included — go to the job's home shard untouched.
-                self._proxy(self._route_job(parts[2]))
-            else:
-                self._send_json(404, {"error": f"no route {self.path!r}"})
-        except ReproError as exc:
-            self._send_json(400, {"error": str(exc)})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib API
-        try:
-            path = self.path.partition("?")[0]
-            parts = [p for p in path.split("/") if p]
-            if parts == ["v1", "jobs"]:
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length) if length else b""
-                try:
-                    parsed = json.loads(body or b"{}")
-                except json.JSONDecodeError as exc:
-                    raise ReproError(f"request body is not valid JSON: {exc}") from None
-                if not isinstance(parsed, dict) or not isinstance(
-                    parsed.get("kind"), str
-                ):
-                    raise ReproError("request needs a string 'kind'")
-                # The fingerprint *is* the route: identical submits home
-                # to the same worker and dedup there.
-                request = _requests.compile_request(
-                    parsed["kind"], parsed.get("payload") or {}
-                )
-                handle = self._route_job(request.fingerprint())
-                headers = {
-                    name: value
-                    for name, value in self.headers.items()
-                    if name.lower() in self._FORWARD_HEADERS
-                }
-                headers["Content-Length"] = str(len(body))
-                try:
-                    status, resp_headers, payload = self.dispatcher.forward(
-                        handle, "POST", self.path, body=body, headers=headers
-                    )
-                except ServiceError as exc:
-                    self._send_json(503, {"error": str(exc)})
-                    return
-                self._relay(handle, status, resp_headers, payload)
-            elif parts == ["v1", "drain"]:
-                length = int(self.headers.get("Content-Length") or 0)
-                body = json.loads(self.rfile.read(length) or b"{}") if length else {}
-                timeout = body.get("timeout")
-                drained = self.dispatcher.drain(
-                    float(timeout) if timeout is not None else None
-                )
-                self._send_json(200, {"drained": drained})
-            else:
-                self._send_json(404, {"error": f"no route {self.path!r}"})
-        except ReproError as exc:
-            self._send_json(400, {"error": str(exc)})
-
-
-def serve_dispatcher(
-    config: ServiceConfig | None = None,
-    worker_count: int = 2,
-    host: str = "127.0.0.1",
-    port: int = 8032,
-) -> Dispatcher:
-    """Build (but do not start) a dispatcher — ``scaltool serve --workers N``."""
-    return Dispatcher(config, worker_count=worker_count, host=host, port=port)
+    def _post(self, parts: list[str], query: str) -> None:
+        if parts == ["v1", "jobs"]:
+            raw = self._read_body()
+            body = _json_object(raw)
+            # The fingerprint *is* the route: identical submits home to
+            # the same worker and dedup there.
+            request = _requests.compile_request(_submit_kind(body), body.get("payload") or {})
+            self._proxy(self.dispatcher.shard_of(request.fingerprint()), raw)
+        elif parts == ["v1", "drain"]:
+            timeout = _drain_timeout(self._body())
+            self._send(200, {"drained": self.dispatcher.drain(timeout)})
+        else:
+            self._no_route()

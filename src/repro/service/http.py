@@ -45,7 +45,11 @@ connection failure, while health/metrics/read endpoints keep working.
 
 The server is a :class:`ThreadingHTTPServer`: request handling threads
 only validate and enqueue; all heavy work happens on the service's own
-queue/batcher machinery.
+queue/batcher machinery.  The dispatcher of ``serve --workers N``
+(:mod:`repro.service.dispatcher`) is a second route table on the same
+front: it shares this module's response writer, body and query parsers,
+server class, and start/serve/shutdown lifecycle, so a malformed request
+gets the same answer from either.
 """
 
 from __future__ import annotations
@@ -74,41 +78,85 @@ from ..obs.trace import (
 from .core import AnalysisService, ServiceConfig
 from .store import Job
 
-__all__ = ["ServiceServer", "serve"]
+__all__ = ["ServiceServer"]
 
 _log = get_logger("service.http")
 
 
-def _jobs_query(raw_query: str) -> dict:
-    """Parse ``GET /v1/jobs`` query parameters into jobs_view kwargs.
+def _jobs_query(raw_query: str) -> tuple[dict, int | None, int]:
+    """Parse ``GET /v1/jobs`` query parameters: ``(filters, limit, offset)``.
 
+    ``filters`` are :meth:`AnalysisService.jobs` keyword arguments.
     Unknown parameters are rejected (400) rather than silently ignored —
     a typoed filter that returns everything is worse than an error.
     """
     from urllib.parse import parse_qsl
 
-    kwargs: dict = {}
+    filters: dict = {}
+    paging = {"limit": None, "offset": 0}
     for name, value in parse_qsl(raw_query, keep_blank_values=True):
-        if name in ("limit", "offset"):
+        if name in paging:
             try:
-                kwargs[name] = int(value)
+                paging[name] = int(value)
             except ValueError as exc:
                 raise ReproError(f"bad {name!r}: expected an integer, got {value!r}") from exc
+            if paging[name] < 0:
+                raise ReproError(
+                    f"bad {name} {paging[name]}; expected a non-negative integer"
+                )
         elif name == "since":
             try:
-                kwargs[name] = float(value)
+                filters[name] = float(value)
             except ValueError as exc:
                 raise ReproError(
                     f"bad 'since': expected an epoch timestamp, got {value!r}"
                 ) from exc
         elif name in ("state", "fingerprint"):
-            kwargs[name] = value
+            filters[name] = value
         else:
             raise ReproError(
                 f"unknown query parameter {name!r}; "
                 "expected limit, offset, state, fingerprint, or since"
             )
-    return kwargs
+    return filters, paging["limit"], paging["offset"]
+
+
+def _jobs_page(jobs: list, limit: int | None, offset: int) -> dict:
+    """One page of a filtered job list; ``total`` counts the filtered set."""
+    page = jobs[offset:] if limit is None else jobs[offset : offset + limit]
+    return {"jobs": page, "total": len(jobs), "limit": limit, "offset": offset}
+
+
+def _drain_timeout(body: dict) -> float | None:
+    """The ``POST /v1/drain`` body's ``timeout`` in seconds (None = wait)."""
+    timeout = body.get("timeout")
+    if timeout is None:
+        return None
+    try:
+        return float(timeout)
+    except (TypeError, ValueError):
+        raise ReproError(f"bad 'timeout': expected seconds, got {timeout!r}") from None
+
+
+def _json_object(raw: bytes) -> dict:
+    """A request body as a JSON object (an empty body is ``{}``)."""
+    if not raw:
+        return {}
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ReproError(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise ReproError("request body must be a JSON object")
+    return body
+
+
+def _submit_kind(body: dict) -> str:
+    """The request kind of a ``POST /v1/jobs`` body."""
+    kind = body.get("kind")
+    if not isinstance(kind, str):
+        raise ReproError("request needs a string 'kind'")
+    return kind
 
 
 def _wait_param(raw_query: str) -> float:
@@ -171,175 +219,47 @@ def _result_view(service: AnalysisService, job: Job) -> tuple[int, dict]:
     return 202, {"id": job.id, "state": job.state}
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "scaltool-service"
+class _JsonHandler(BaseHTTPRequestHandler):
+    """What both fronts share: routing by path, error mapping, I/O.
+
+    Subclasses implement ``_get(parts, query)`` and ``_post(parts,
+    query)``; a :class:`~repro.errors.ReproError` they raise becomes the
+    matching status (404, 503, 429 or 400) with an ``{"error": ...}``
+    body.
+    """
+
     protocol_version = "HTTP/1.1"
 
     @property
-    def service(self) -> AnalysisService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    # -- plumbing ---------------------------------------------------------------
+    def front(self):
+        return self.server.front  # type: ignore[attr-defined]
 
     def log_message(self, fmt: str, *args) -> None:  # quiet by default
         _log.debug("http %s", kv(client=self.client_address[0], line=fmt % args))
 
-    def _send(self, status: int, body: dict, headers: dict | None = None) -> None:
-        payload = (json.dumps(body, sort_keys=True) + "\n").encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.send_header("X-Scaltool-Shard", str(self.service.config.shard_index))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        payload = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(body, dict):
-            raise ReproError("request body must be a JSON object")
-        return body
-
-    # -- routes -----------------------------------------------------------------
-
     def do_GET(self) -> None:  # noqa: N802 - stdlib API
-        obs.registry().inc("service.http.requests")
-        self.service.telemetry.inc("service.http.requests")
-        try:
-            path, _, raw_query = self.path.partition("?")
-            parts = [p for p in path.split("/") if p]
-            if parts == ["healthz"]:
-                health = self.service.health()
-                self._send(503 if health["status"] == "degraded" else 200, health)
-            elif parts == ["metrics"]:
-                self._send_text(
-                    200, self.service.telemetry.prometheus_text(), _telemetry.CONTENT_TYPE
-                )
-            elif parts == ["v1", "stats"]:
-                self._send(200, self.service.stats())
-            elif parts == ["v1", "jobs"]:
-                self._send(200, self.service.jobs_view(**_jobs_query(raw_query)))
-            elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-                self._send(200, self.service.status(parts[2]).summary())
-            elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
-                # ?wait=S long-polls: park until terminal (or the budget
-                # runs out) instead of making the client busy-poll.
-                wait_s = _wait_param(raw_query)
-                job = self.service.result(parts[2])
-                if wait_s and job.state not in ("done", "failed"):
-                    try:
-                        job = self.service.wait(parts[2], timeout=wait_s)
-                    except JobNotFoundError:
-                        raise
-                    except ReproError:
-                        job = self.service.result(parts[2])  # budget expired
-                status, body = _result_view(self.service, job)
-                self._send(status, body)
-            elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "trace":
-                self._send(200, self.service.trace(parts[2]))
-            elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "lineage":
-                self._send(200, self.service.lineage(parts[2]))
-            elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "blame":
-                self._send(200, self.service.blame(parts[2]))
-            elif parts == ["v1", "profile"]:
-                seconds, interval_s = _profile_params(raw_query)
-                self._send(200, self.service.profile_view(seconds, interval_s))
-            else:
-                self._send(404, {"error": f"no route {self.path!r}"})
-        except JobNotFoundError as exc:
-            self._send(404, {"error": str(exc)})
-        except ReproError as exc:
-            self._send(400, {"error": str(exc)})
+        self._route(self._get)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib API
-        obs.registry().inc("service.http.requests")
-        self.service.telemetry.inc("service.http.requests")
+        self._route(self._post)
+
+    def _get(self, parts: list[str], query: str) -> None:
+        raise NotImplementedError
+
+    def _post(self, parts: list[str], query: str) -> None:
+        raise NotImplementedError
+
+    def _route(self, handler) -> None:
+        path, _, query = self.path.partition("?")
         try:
-            parts = [p for p in self.path.split("?")[0].split("/") if p]
-            if parts == ["v1", "jobs"]:
-                arrived = time.time()
-                body = self._body()
-                kind = body.get("kind")
-                if not isinstance(kind, str):
-                    raise ReproError("request needs a string 'kind'")
-                ctx = parse_traceparent(self.headers.get(TRACEPARENT_HEADER))
-                if ctx is not None:
-                    # The client's root span cannot be shipped to us (the
-                    # client process moves on after the response), so record
-                    # a placeholder for it now — it anchors the tree — and
-                    # do it *before* submit so a fast job cannot finish and
-                    # persist its timeline without it.
-                    self.service.traces.emit(
-                        parse_tracestate_name(self.headers.get(TRACESTATE_HEADER))
-                        or "client.request",
-                        0.0,
-                        context=TraceContext(trace_id=ctx.trace_id, span_id=""),
-                        start=arrived,
-                        span_id=ctx.span_id,
-                        remote=True,
-                    )
-                try:
-                    job, deduped = self.service.submit(
-                        kind,
-                        body.get("payload") or {},
-                        priority=body.get("priority"),
-                        trace_ctx=ctx,
-                    )
-                except ReproError:
-                    if ctx is not None:  # nobody will pop the placeholder
-                        self.service.traces.pop_trace(ctx.trace_id)
-                    raise
-                if ctx is not None:
-                    if job.trace_id == ctx.trace_id:
-                        self.service.traces.emit(
-                            "http.request",
-                            time.time() - arrived,
-                            context=ctx,
-                            start=arrived,
-                            method="POST",
-                            path="/v1/jobs",
-                            status=202,
-                        )
-                    else:
-                        # Deduped onto a job that belongs to another trace:
-                        # nobody will ever pop ours, so drop it.
-                        self.service.traces.pop_trace(ctx.trace_id)
-                out = {"id": job.id, "state": job.state, "deduped": deduped}
-                if job.trace_id:
-                    out["trace_id"] = job.trace_id
-                self._send(202, out)
-            elif parts == ["v1", "drain"]:
-                body = self._body()
-                timeout = body.get("timeout")
-                drained = self.service.drain(
-                    timeout=float(timeout) if timeout is not None else None
-                )
-                self._send(200, {"drained": drained})
-            else:
-                self._send(404, {"error": f"no route {self.path!r}"})
+            handler([p for p in path.split("/") if p], query)
+        except JobNotFoundError as exc:
+            self._send(404, {"error": str(exc)})
         except StoreUnavailableError as exc:
-            obs.registry().inc("service.http.rejected")
-            self.service.telemetry.inc("service.http.rejected")
+            self._rejected()
             self._send(503, {"error": str(exc), "status": "degraded", "store": {"writable": False}})
         except QueueFullError as exc:
-            obs.registry().inc("service.http.rejected")
-            self.service.telemetry.inc("service.http.rejected")
+            self._rejected()
             self._send(
                 503 if exc.draining else 429,
                 {"error": str(exc), "retry_after": exc.retry_after},
@@ -348,34 +268,182 @@ class _Handler(BaseHTTPRequestHandler):
         except ReproError as exc:
             self._send(400, {"error": str(exc)})
 
+    def _rejected(self) -> None:
+        """Count a submit refused by backpressure or a degraded store."""
 
-class _ServiceHTTPServer(ThreadingHTTPServer):
+    def _no_route(self) -> None:
+        self._send(404, {"error": f"no route {self.path!r}"})
+
+    def _send(self, status: int, body: dict, headers: dict | None = None) -> None:
+        payload = (json.dumps(body, sort_keys=True) + "\n").encode()
+        self._send_bytes(status, payload, "application/json", headers)
+
+    def _send_bytes(
+        self, status: int, payload: bytes, content_type: str, headers: dict | None = None
+    ) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def _read_body(self) -> bytes:
+        length = int(self.headers.get("Content-Length") or 0)
+        return self.rfile.read(length) if length else b""
+
+    def _body(self) -> dict:
+        return _json_object(self._read_body())
+
+
+class _Handler(_JsonHandler):
+    """The single-process service's routes."""
+
+    server_version = "scaltool-service"
+
+    @property
+    def service(self) -> AnalysisService:
+        return self.front.service
+
+    def _route(self, handler) -> None:
+        obs.registry().inc("service.http.requests")
+        self.service.telemetry.inc("service.http.requests")
+        super()._route(handler)
+
+    def _rejected(self) -> None:
+        obs.registry().inc("service.http.rejected")
+        self.service.telemetry.inc("service.http.rejected")
+
+    def _send(self, status: int, body: dict, headers: dict | None = None) -> None:
+        shard = {"X-Scaltool-Shard": str(self.service.config.shard_index)}
+        super()._send(status, body, {**shard, **(headers or {})})
+
+    def _get(self, parts: list[str], query: str) -> None:
+        if parts == ["healthz"]:
+            health = self.service.health()
+            self._send(503 if health["status"] == "degraded" else 200, health)
+        elif parts == ["metrics"]:
+            text = self.service.telemetry.prometheus_text()
+            self._send_bytes(200, text.encode(), _telemetry.CONTENT_TYPE)
+        elif parts == ["v1", "stats"]:
+            self._send(200, self.service.stats())
+        elif parts == ["v1", "jobs"]:
+            filters, limit, offset = _jobs_query(query)
+            page = _jobs_page(self.service.jobs(**filters), limit, offset)
+            self._send(200, {**page, "jobs": [j.summary() for j in page["jobs"]]})
+        elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
+            self._send(200, self.service.status(parts[2]).summary())
+        elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
+            # ?wait=S long-polls: park until terminal (or the budget
+            # runs out) instead of making the client busy-poll.
+            wait_s = _wait_param(query)
+            job = self.service.result(parts[2])
+            if wait_s and job.state not in ("done", "failed"):
+                try:
+                    job = self.service.wait(parts[2], timeout=wait_s)
+                except JobNotFoundError:
+                    raise
+                except ReproError:
+                    job = self.service.result(parts[2])  # budget expired
+            status, body = _result_view(self.service, job)
+            self._send(status, body)
+        elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "trace":
+            self._send(200, self.service.trace(parts[2]))
+        elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "lineage":
+            self._send(200, self.service.lineage(parts[2]))
+        elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "blame":
+            self._send(200, self.service.blame(parts[2]))
+        elif parts == ["v1", "profile"]:
+            seconds, interval_s = _profile_params(query)
+            self._send(200, self.service.profile_view(seconds, interval_s))
+        else:
+            self._no_route()
+
+    def _post(self, parts: list[str], query: str) -> None:
+        if parts == ["v1", "jobs"]:
+            self._submit()
+        elif parts == ["v1", "drain"]:
+            timeout = _drain_timeout(self._body())
+            self._send(200, {"drained": self.service.drain(timeout=timeout)})
+        else:
+            self._no_route()
+
+    def _submit(self) -> None:
+        arrived = time.time()
+        body = self._body()
+        kind = _submit_kind(body)
+        ctx = parse_traceparent(self.headers.get(TRACEPARENT_HEADER))
+        if ctx is not None:
+            # The client's root span cannot be shipped to us (the client
+            # process moves on after the response), so record a
+            # placeholder for it now — it anchors the tree — and do it
+            # *before* submit so a fast job cannot finish and persist its
+            # timeline without it.
+            self.service.traces.emit(
+                parse_tracestate_name(self.headers.get(TRACESTATE_HEADER))
+                or "client.request",
+                0.0,
+                context=TraceContext(trace_id=ctx.trace_id, span_id=""),
+                start=arrived,
+                span_id=ctx.span_id,
+                remote=True,
+            )
+        try:
+            job, deduped = self.service.submit(
+                kind,
+                body.get("payload") or {},
+                priority=body.get("priority"),
+                trace_ctx=ctx,
+            )
+        except ReproError:
+            if ctx is not None:  # nobody will pop the placeholder
+                self.service.traces.pop_trace(ctx.trace_id)
+            raise
+        if ctx is not None:
+            if job.trace_id == ctx.trace_id:
+                self.service.traces.emit(
+                    "http.request",
+                    time.time() - arrived,
+                    context=ctx,
+                    start=arrived,
+                    method="POST",
+                    path="/v1/jobs",
+                    status=202,
+                )
+            else:
+                # Deduped onto a job that belongs to another trace: nobody
+                # will ever pop ours, so drop it.
+                self.service.traces.pop_trace(ctx.trace_id)
+        out = {"id": job.id, "state": job.state, "deduped": deduped}
+        if job.trace_id:
+            out["trace_id"] = job.trace_id
+        self._send(202, out)
+
+
+class _HTTPServer(ThreadingHTTPServer):
     # The stdlib default listen backlog (5) drops connections when a
     # hundred clients reconnect in the same instant; size it for the
     # concurrency the service is built to absorb.
     request_queue_size = 128
+    daemon_threads = True
 
 
-class ServiceServer:
-    """An :class:`AnalysisService` bound to a ThreadingHTTPServer.
+class _HTTPFront:
+    """A route table bound to a ThreadingHTTPServer, with its lifecycle.
 
     ``start()`` runs the HTTP loop on a background thread (tests, embedded
     use); ``serve_forever()`` runs it in the foreground (``scaltool
-    serve``).  ``shutdown()`` drains the service before stopping, so an
-    orderly exit never abandons admitted jobs.
+    serve``).  Both first ``_open()`` what the front serves.
+    ``shutdown()`` stops the HTTP loop and then calls ``_close()``, which
+    drains, so an orderly exit never abandons admitted jobs.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.service = AnalysisService(config)
-        self._httpd = _ServiceHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.service = self.service  # type: ignore[attr-defined]
+    def __init__(self, handler: type[_JsonHandler], host: str, port: int) -> None:
+        self._httpd = _HTTPServer((host, port), handler)
+        self._httpd.front = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        self._closed = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -386,8 +454,14 @@ class ServiceServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def start(self) -> "ServiceServer":
-        self.service.start()
+    def _open(self) -> None:
+        raise NotImplementedError
+
+    def _close(self, drain_timeout: float | None) -> None:
+        raise NotImplementedError
+
+    def start(self) -> "_HTTPFront":
+        self._open()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="scaltool-http",
@@ -399,7 +473,7 @@ class ServiceServer:
         return self
 
     def serve_forever(self) -> None:
-        self.service.start()
+        self._open()
         _log.debug("http server listening %s", kv(url=self.url))
         try:
             self._httpd.serve_forever(poll_interval=0.2)
@@ -407,16 +481,31 @@ class ServiceServer:
             self.shutdown()
 
     def shutdown(self, drain_timeout: float | None = 30.0) -> None:
+        if self._closed:
+            return
+        self._closed = True
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        self._close(drain_timeout)
+
+
+class ServiceServer(_HTTPFront):
+    """An :class:`AnalysisService` behind the HTTP front (``scaltool serve``)."""
+
+    def __init__(
+        self,
+        config: ServiceConfig | None = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ) -> None:
+        self.service = AnalysisService(config)
+        super().__init__(_Handler, host, port)
+
+    def _open(self) -> None:
+        self.service.start()
+
+    def _close(self, drain_timeout: float | None) -> None:
         self.service.close(drain=True, timeout=drain_timeout)
-
-
-def serve(
-    config: ServiceConfig | None = None, host: str = "127.0.0.1", port: int = 8032
-) -> ServiceServer:
-    """Build (but do not start) a server — the ``scaltool serve`` entry."""
-    return ServiceServer(config, host=host, port=port)

@@ -13,107 +13,35 @@ the planner closes the remaining window by dedupping runs that are
   job's batch will populate the cache);
 * the remainder is *claimed* by this job and handed to the batcher.
 
-Claiming is atomic over the whole key set (one lock), so two jobs that
-plan concurrently partition the overlap instead of both executing it.
+Claims live in one table for every deployment:
+:class:`repro.service.shared.SqliteClaimTable` at
+``<root>/service/claims.sqlite``.  A single-process service is simply
+shard 0 of 1 on it; ``serve --workers N`` runs N such processes over the
+same file.  Claiming is atomic over the whole key set (one SQLite
+``IMMEDIATE`` transaction), so two jobs that plan concurrently — in one
+process or in two — partition the overlap instead of both executing it.
 A claim is always released — even when the claiming batch fails — and a
 waiter re-checks the cache afterwards: if the owner failed, the waiter
 simply executes the spec itself during result assembly, so a crashed
 job never wedges its peers.
 
 Claims also *expire*: each carries a heartbeat timestamp, refreshed by
-the owner during long batches, and :meth:`InFlightTable.claim` reaps
-claims whose heartbeat is older than the TTL before partitioning.  A
-claim orphaned by a dead worker therefore blocks dedup for at most one
-TTL instead of forever.  Cross-process deployments swap the in-memory
-table for :class:`repro.service.shared.SqliteClaimTable` (same
-``claim`` / ``release`` / ``heartbeat`` surface, SQLite WAL backing,
-plus owner-pid liveness checks) — the planner is backend-agnostic.
+the owner during long batches, and a claim whose heartbeat is older
+than the TTL, or whose owning process is gone, is reaped by the next
+``claim``.  A claim orphaned by a dead worker therefore blocks dedup for
+at most one TTL instead of forever.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 
 from ..obs import runtime as obs
 from ..runner.engine import RunCache, RunSpec
 from .requests import CompiledRequest
+from .shared import ClaimWaiter, SqliteClaimTable
 
-__all__ = ["InFlightTable", "RequestPlan", "RequestPlanner"]
-
-
-class InFlightTable:
-    """Thread-safe registry of run-spec keys currently being executed.
-
-    ``ttl`` bounds how long an unreleased claim can block peers: claims
-    whose heartbeat is older than ``ttl`` seconds are expired (their
-    waiters woken) on the next :meth:`claim`.  ``ttl=None`` disables
-    expiry (the pre-TTL behaviour).
-    """
-
-    def __init__(self, ttl: float | None = None) -> None:
-        self._lock = threading.Lock()
-        self.ttl = ttl
-        self._events: dict[str, threading.Event] = {}
-        self._heartbeats: dict[str, float] = {}
-
-    def _expire_locked(self, now: float) -> None:
-        if self.ttl is None:
-            return
-        stale = [k for k, hb in self._heartbeats.items() if now - hb > self.ttl]
-        for key in stale:
-            self._heartbeats.pop(key, None)
-            event = self._events.pop(key, None)
-            if event is not None:
-                event.set()
-        if stale:
-            obs.registry().inc("service.claims.expired", len(stale))
-
-    def claim(self, keys: list[str]) -> tuple[list[str], dict[str, threading.Event]]:
-        """Partition ``keys`` into (claimed by me, already in flight).
-
-        Claimed keys get a fresh event that :meth:`release` will set;
-        in-flight keys map to the owner's event to wait on.  Stale
-        claims (heartbeat older than the TTL) are expired first, so an
-        orphaned claim is reclaimed by the next job that wants it.
-        """
-        claimed: list[str] = []
-        waiting: dict[str, threading.Event] = {}
-        now = time.time()
-        with self._lock:
-            self._expire_locked(now)
-            for key in keys:
-                event = self._events.get(key)
-                if event is None:
-                    self._events[key] = threading.Event()
-                    self._heartbeats[key] = now
-                    claimed.append(key)
-                else:
-                    waiting[key] = event
-        return claimed, waiting
-
-    def release(self, keys: list[str]) -> None:
-        """Mark claimed keys finished (success *or* failure) and wake waiters."""
-        with self._lock:
-            events = [self._events.pop(key, None) for key in keys]
-            for key in keys:
-                self._heartbeats.pop(key, None)
-        for event in events:
-            if event is not None:
-                event.set()
-
-    def heartbeat(self, keys: list[str]) -> None:
-        """Refresh claims still being worked on (call during long batches)."""
-        now = time.time()
-        with self._lock:
-            for key in keys:
-                if key in self._heartbeats:
-                    self._heartbeats[key] = now
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+__all__ = ["RequestPlan", "RequestPlanner"]
 
 
 @dataclass
@@ -122,7 +50,7 @@ class RequestPlan:
 
     specs: list[RunSpec]  # unique specs, in request order
     claimed: list[RunSpec]  # this job executes these (via the batcher)
-    waiting: dict[str, object] = field(default_factory=dict)  # key -> waiter
+    waiting: dict[str, ClaimWaiter] = field(default_factory=dict)
     cache_hits: int = 0
 
     @property
@@ -131,18 +59,11 @@ class RequestPlan:
 
 
 class RequestPlanner:
-    """Compile a request into a deduplicated execution plan.
+    """Compile a request into a deduplicated execution plan over ``claims``."""
 
-    ``inflight`` is any claim backend exposing ``claim(keys)`` /
-    ``release(keys)`` (optionally ``heartbeat(keys)``): the in-process
-    :class:`InFlightTable` by default, the cross-process
-    :class:`repro.service.shared.SqliteClaimTable` under a multi-worker
-    dispatcher.  Waiters returned by ``claim`` need only ``.wait(timeout)``.
-    """
-
-    def __init__(self, cache: RunCache, inflight=None) -> None:
+    def __init__(self, cache: RunCache, claims: SqliteClaimTable) -> None:
         self.cache = cache
-        self.inflight = inflight if inflight is not None else InFlightTable()
+        self.claims = claims
 
     def plan(self, request: CompiledRequest) -> RequestPlan:
         reg = obs.registry()
@@ -151,7 +72,7 @@ class RequestPlanner:
             for spec in request.specs():
                 unique.setdefault(spec.key(), spec)
             cached = {k for k, s in unique.items() if self.cache.contains(s)}
-            claimed_keys, waiting = self.inflight.claim(
+            claimed_keys, waiting = self.claims.claim(
                 [k for k in unique if k not in cached]
             )
             plan = RequestPlan(
@@ -174,13 +95,11 @@ class RequestPlanner:
 
     def complete(self, plan: RequestPlan) -> None:
         """Release this plan's claims (call exactly once, success or not)."""
-        self.inflight.release(plan.claimed_keys)
+        self.claims.release(plan.claimed_keys)
 
     def heartbeat(self, plan: RequestPlan) -> None:
         """Refresh this plan's claims while its batch is still executing."""
-        hb = getattr(self.inflight, "heartbeat", None)
-        if hb is not None and plan.claimed:
-            hb(plan.claimed_keys)
+        self.claims.heartbeat(plan.claimed_keys)
 
     def wait(self, plan: RequestPlan, timeout: float | None = None) -> bool:
         """Block until every spec claimed by *other* jobs has settled.

@@ -610,6 +610,8 @@ def compile_request(kind: str, payload: dict | None = None) -> CompiledRequest:
         raise ServiceError(
             f"unknown request kind {kind!r}; expected one of {', '.join(REQUEST_KINDS)}"
         )
+    if payload is not None and not isinstance(payload, dict):
+        raise ServiceError(f"payload must be a JSON object, got {type(payload).__name__}")
     return cls(payload or {})
 
 

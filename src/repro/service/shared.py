@@ -1,17 +1,17 @@
-"""Cross-process shared state for the multi-worker service.
+"""Shared state under the cache root: the claim table and run-cache index.
 
-One process could keep its in-flight claim table and run-cache index in
-memory (``planner.InFlightTable``, bare ``RunCache``).  With N worker
-processes sharing one cache directory, both must move somewhere every
-process can see *atomically*:
+Every service process — the single-process ``scaltool serve`` as well as
+each worker of ``serve --workers N`` — keeps its in-flight claims and its
+run-cache index in SQLite files under ``<root>/service/``, so any number
+of processes on one cache root see the same state *atomically*:
 
-* :class:`SqliteClaimTable` — the in-flight claim table as a SQLite
-  (WAL) table.  Claims carry an owner id (``pid:uuid``), a creation
-  time, and a heartbeat; a claim whose owner is dead or whose heartbeat
-  is older than the TTL is *expired* and can be reclaimed, so a worker
-  SIGKILLed mid-batch never wedges its peers (satellite: stale-claim
-  leakage fix).  Waiters poll the table — cross-process, there is no
-  shared ``threading.Event`` — re-checking the run cache as they go.
+* :class:`SqliteClaimTable` — the planner's in-flight claim table as a
+  SQLite (WAL) table.  Claims carry an owner id (``pid:uuid``), a
+  creation time, and a heartbeat; a claim whose owner is dead or whose
+  heartbeat is older than the TTL is *expired* and can be reclaimed, so
+  a worker SIGKILLed mid-batch never wedges its peers.  Waiters poll the
+  table — cross-process, there is no shared ``threading.Event`` —
+  re-checking the run cache as they go.
 
 * :class:`RunCacheIndex` + :class:`IndexedRunCache` — the run cache
   keeps its atomic per-spec JSON payloads (write-then-rename files; the
@@ -89,12 +89,12 @@ def _connect(path: Path) -> sqlite3.Connection:
 
 
 class ClaimWaiter:
-    """Poll-based stand-in for the in-process ``threading.Event`` waiter.
+    """Waits, by polling, for another owner's claim on one key to go.
 
     ``wait`` returns True once the claim row is gone (owner released) or
     expired+reclaimed-away; the planner's contract — "after wait(),
-    re-check the cache; execute yourself what is still missing" — is
-    unchanged, so a false-positive wake is merely a little extra work.
+    re-check the cache; execute yourself what is still missing" — makes
+    a false-positive wake merely a little extra work.
     """
 
     def __init__(self, table: "SqliteClaimTable", key: str) -> None:
@@ -112,10 +112,9 @@ class ClaimWaiter:
 
 
 class SqliteClaimTable:
-    """The planner's in-flight table, shared across worker processes.
+    """The planner's in-flight claim table, shared by every process on a root.
 
-    Same shape as :class:`repro.service.planner.InFlightTable` —
-    ``claim(keys) -> (claimed, waiting)``, ``release(keys)`` — plus
+    ``claim(keys) -> (claimed, waiting)`` and ``release(keys)``, plus
     ``heartbeat(keys)`` for long batches and TTL/owner-liveness expiry
     so claims die with their owner instead of leaking forever.
     """
@@ -177,11 +176,10 @@ class SqliteClaimTable:
     def claim(self, keys: list[str]) -> tuple[list[str], dict[str, ClaimWaiter]]:
         """Partition ``keys`` into (claimed by me, claimed elsewhere).
 
-        Atomic over the whole key set (one IMMEDIATE transaction), the
-        same all-or-partition guarantee the in-process table gives with
-        its single lock.  Stale claims are expired inside the same
-        transaction, so a dead worker's keys are reclaimed on the very
-        next plan that wants them.
+        Atomic over the whole key set (one IMMEDIATE transaction), so
+        concurrent planners partition an overlap.  Stale claims are
+        expired inside the same transaction, so a dead worker's keys are
+        reclaimed on the very next plan that wants them.
         """
         claimed: list[str] = []
         waiting: dict[str, ClaimWaiter] = {}

@@ -1,11 +1,14 @@
-"""Worker-process entry: one shard of the multi-process service.
+"""Worker-process entry: one shard of ``scaltool serve --workers N``.
 
-``python -m repro.service.worker --shard-index I --shard-count N ...``
-starts a full :class:`~repro.service.http.ServiceServer` (HTTP front +
-:class:`~repro.service.core.AnalysisService`) bound to an ephemeral
-port, writes ``{"port", "pid", "shard"}`` to ``--port-file`` (atomic
-write-then-rename) so the spawning dispatcher can find it, and serves
-until SIGTERM — which drains in-flight jobs before exiting.
+``python -m repro.service.worker CONFIG PORT_FILE`` starts a full
+:class:`~repro.service.http.ServiceServer` — the same single-process
+service ``scaltool serve`` runs — from ``CONFIG``, its
+:class:`~repro.service.core.ServiceConfig` as one JSON object (the
+dispatcher sets ``cache_dir``, ``shard_index`` and ``shard_count``).  It
+binds an ephemeral port, writes ``{"port", "pid", "shard"}`` to
+``PORT_FILE`` (atomic write-then-rename) so the spawning dispatcher can
+find it, and serves until SIGTERM — which drains in-flight jobs before
+exiting.
 
 Workers share the cache root: the run cache (and its SQLite index), the
 claim table, and the job store are common; each worker *recovers* and
@@ -26,23 +29,9 @@ from ..obs.logs import get_logger, kv
 from .core import ServiceConfig
 from .http import ServiceServer
 
-__all__ = ["main", "build_config"]
+__all__ = ["main"]
 
 _log = get_logger("service.worker")
-
-
-def build_config(args: argparse.Namespace) -> ServiceConfig:
-    return ServiceConfig(
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        workers=args.concurrency,
-        max_queue=args.max_queue,
-        job_timeout=args.job_timeout,
-        batch_window=args.batch_window,
-        shard_index=args.shard_index,
-        shard_count=args.shard_count,
-        claim_ttl=args.claim_ttl,
-    )
 
 
 def _write_port_file(path: Path, port: int, shard: int) -> None:
@@ -55,21 +44,12 @@ def _write_port_file(path: Path, port: int, shard: int) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="scaltool service worker (one shard)")
-    parser.add_argument("--cache-dir", required=True)
-    parser.add_argument("--shard-index", type=int, default=0)
-    parser.add_argument("--shard-count", type=int, default=1)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0)
-    parser.add_argument("--port-file", default=None)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--concurrency", type=int, default=2)
-    parser.add_argument("--max-queue", type=int, default=32)
-    parser.add_argument("--job-timeout", type=float, default=600.0)
-    parser.add_argument("--batch-window", type=float, default=0.02)
-    parser.add_argument("--claim-ttl", type=float, default=60.0)
+    parser.add_argument("config", help="the shard's ServiceConfig as a JSON object")
+    parser.add_argument("port_file", help="where to report the bound port")
     args = parser.parse_args(argv)
+    config = ServiceConfig(**json.loads(args.config))
 
-    server = ServiceServer(build_config(args), host=args.host, port=args.port)
+    server = ServiceServer(config)
 
     def _terminate(signum, frame):  # noqa: ARG001 - signal API
         raise SystemExit(0)
@@ -77,11 +57,10 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, _terminate)
     signal.signal(signal.SIGINT, _terminate)
 
-    if args.port_file:
-        _write_port_file(Path(args.port_file), server.address[1], args.shard_index)
+    _write_port_file(Path(args.port_file), server.address[1], config.shard_index)
     _log.debug(
         "worker up %s",
-        kv(shard=f"{args.shard_index}/{args.shard_count}", url=server.url, pid=os.getpid()),
+        kv(shard=f"{config.shard_index}/{config.shard_count}", url=server.url, pid=os.getpid()),
     )
     server.serve_forever()  # drains on SystemExit via its finally: shutdown()
     return 0

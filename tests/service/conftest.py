@@ -13,7 +13,10 @@ Two kinds of test run here:
 
 from __future__ import annotations
 
+import sqlite3
 import threading
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,18 @@ from repro.service import requests as req_mod
 WARM_S0 = 163840
 WARM_COUNTS = (1, 2)
 WARM_PAYLOAD = {"workload": "synthetic", "s0": WARM_S0, "counts": list(WARM_COUNTS)}
+
+
+def age_claim(db: Path, key: str, seconds: float) -> None:
+    """Move a claim's last heartbeat ``seconds`` into the past.
+
+    Claim-TTL tests age claims this way instead of sleeping past a short
+    TTL, so they never depend on how fast the machine runs them.
+    """
+    with closing(sqlite3.connect(db)) as conn, conn:
+        conn.execute(
+            "UPDATE claims SET heartbeat = heartbeat - ? WHERE key = ?", (seconds, key)
+        )
 
 
 @pytest.fixture(scope="module")

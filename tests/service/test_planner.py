@@ -1,18 +1,37 @@
-"""Planner: cache-hit dropping, atomic in-flight claims, waiter semantics."""
+"""Planner: cache-hit dropping, atomic claims, waiter semantics.
+
+Every service plans through the one SQLite claim table, so these run on
+:class:`SqliteClaimTable` under ``tmp_path``.  Claim ages are set by
+rewriting a claim's ``heartbeat`` row, never by sleeping past a TTL, so
+no check depends on machine load.
+"""
 
 import threading
-import time
+
+import pytest
 
 from repro.runner.engine import RunCache
-from repro.service.planner import InFlightTable, RequestPlanner
+from repro.service.planner import RequestPlanner
 from repro.service.requests import compile_request
+from repro.service.shared import SqliteClaimTable
+
+from .conftest import age_claim
 
 PAYLOAD = {"workload": "synthetic", "s0": 163840, "counts": [1, 2]}
 
+#: Long enough that no claim in these tests expires by the clock.
+TTL = 60.0
+
+
+@pytest.fixture
+def table(tmp_path):
+    return SqliteClaimTable(tmp_path / "claims.sqlite", ttl=TTL)
+
 
 class TestInFlightTable:
-    def test_claim_partitions(self):
-        table = InFlightTable()
+    """The in-flight claim contract, on the one table every service uses."""
+
+    def test_claim_partitions(self, table):
         claimed, waiting = table.claim(["a", "b"])
         assert claimed == ["a", "b"] and waiting == {}
         claimed2, waiting2 = table.claim(["b", "c"])
@@ -20,20 +39,18 @@ class TestInFlightTable:
         assert set(waiting2) == {"b"}
         assert len(table) == 3
 
-    def test_release_wakes_waiters(self):
-        table = InFlightTable()
+    def test_release_wakes_waiters(self, table):
         table.claim(["a"])
         _, waiting = table.claim(["a"])
-        assert not waiting["a"].is_set()
+        assert not waiting["a"].wait(timeout=0)
         table.release(["a"])
-        assert waiting["a"].is_set()
+        assert waiting["a"].wait(timeout=0)
         assert len(table) == 0
 
-    def test_release_unknown_key_is_noop(self):
-        InFlightTable().release(["ghost"])
+    def test_release_unknown_key_is_noop(self, table):
+        table.release(["ghost"])
 
-    def test_reclaim_after_release(self):
-        table = InFlightTable()
+    def test_reclaim_after_release(self, table):
         table.claim(["a"])
         table.release(["a"])
         claimed, waiting = table.claim(["a"])
@@ -41,16 +58,18 @@ class TestInFlightTable:
 
 
 class TestRequestPlanner:
-    def test_first_plan_claims_everything(self, tmp_path):
-        planner = RequestPlanner(RunCache(tmp_path / "runs"))
+    @pytest.fixture
+    def planner(self, tmp_path, table):
+        return RequestPlanner(RunCache(tmp_path / "runs"), table)
+
+    def test_first_plan_claims_everything(self, planner):
         plan = planner.plan(compile_request("analyze", PAYLOAD))
         assert plan.cache_hits == 0
         assert not plan.waiting
         assert len(plan.claimed) == len(plan.specs) > 0
         planner.complete(plan)
 
-    def test_concurrent_plans_partition_overlap(self, tmp_path):
-        planner = RequestPlanner(RunCache(tmp_path / "runs"))
+    def test_concurrent_plans_partition_overlap(self, planner):
         first = planner.plan(compile_request("analyze", PAYLOAD))
         second = planner.plan(compile_request("whatif", {**PAYLOAD, "tm": 0.5}))
         # Identical spec sets: the second job claims nothing and waits on all.
@@ -60,27 +79,23 @@ class TestRequestPlanner:
         assert planner.wait(second, timeout=1.0)
         planner.complete(second)
 
-    def test_cached_specs_become_hits(self, warm_root):
-        cache = RunCache(warm_root / "runs")
-        request = compile_request("analyze", PAYLOAD)
-        planner = RequestPlanner(cache)
-        plan = planner.plan(request)
+    def test_cached_specs_become_hits(self, warm_root, table):
+        planner = RequestPlanner(RunCache(warm_root / "runs"), table)
+        plan = planner.plan(compile_request("analyze", PAYLOAD))
         assert plan.cache_hits == len(plan.specs)
         assert plan.claimed == [] and not plan.waiting
         planner.complete(plan)
 
-    def test_wait_returns_false_on_timeout(self, tmp_path):
-        planner = RequestPlanner(RunCache(tmp_path / "runs"))
+    def test_wait_returns_false_on_timeout(self, planner):
         first = planner.plan(compile_request("analyze", PAYLOAD))
         second = planner.plan(compile_request("analyze", PAYLOAD))
-        assert not planner.wait(second, timeout=0.01)
+        assert not planner.wait(second, timeout=0)
         planner.complete(first)  # a crashed owner still releases via finally
-        assert planner.wait(second, timeout=1.0)
+        assert planner.wait(second, timeout=0)
 
-    def test_wait_survives_owner_failure(self, tmp_path):
+    def test_wait_survives_owner_failure(self, planner):
         # The owner "fails": it releases without populating the cache.  The
         # waiter unblocks and would execute the specs itself at assembly.
-        planner = RequestPlanner(RunCache(tmp_path / "runs"))
         owner = planner.plan(compile_request("analyze", PAYLOAD))
         waiter = planner.plan(compile_request("analyze", PAYLOAD))
         released = threading.Event()
@@ -90,49 +105,38 @@ class TestRequestPlanner:
             released.set()
 
         threading.Thread(target=fail_owner).start()
-        assert planner.wait(waiter, timeout=2.0)
+        assert planner.wait(waiter, timeout=30.0)
         assert released.is_set()
 
 
 class TestClaimTTL:
     """Stale-claim leakage: an orphaned claim must expire, not block forever."""
 
-    def test_unreleased_claim_expires_after_ttl(self):
-        table = InFlightTable(ttl=0.15)
+    def test_unreleased_claim_expires_after_ttl(self, table):
         got, _ = table.claim(["k"])
         assert got == ["k"]
-        time.sleep(0.25)
+        age_claim(table.path, "k", 2 * TTL)
         got2, waiting = table.claim(["k"])  # orphaned claim reclaimed
         assert got2 == ["k"] and not waiting
 
-    def test_expiry_wakes_the_orphans_waiters(self):
-        table = InFlightTable(ttl=0.15)
+    def test_expiry_wakes_the_orphans_waiters(self, table):
         table.claim(["k"])
         _, waiting = table.claim(["k"])
-        time.sleep(0.25)
+        assert not waiting["k"].wait(timeout=0)
+        age_claim(table.path, "k", 2 * TTL)
         table.claim(["other"])  # any claim() sweeps expired entries
-        assert waiting["k"].wait(timeout=1.0)
+        assert waiting["k"].wait(timeout=0)
 
-    def test_heartbeat_defers_expiry(self):
-        table = InFlightTable(ttl=0.3)
+    def test_heartbeat_defers_expiry(self, table):
         table.claim(["k"])
-        for _ in range(3):
-            time.sleep(0.15)
-            table.heartbeat(["k"])
-        got, waiting = table.claim(["k"])  # still held: heartbeats kept it
+        age_claim(table.path, "k", 2 * TTL)
+        table.heartbeat(["k"])
+        got, waiting = table.claim(["k"])  # still held: the heartbeat kept it
         assert not got and set(waiting) == {"k"}
 
-    def test_no_ttl_means_no_expiry(self):
-        table = InFlightTable()  # ttl=None: the pre-TTL behaviour
-        table.claim(["k"])
-        time.sleep(0.05)
-        got, waiting = table.claim(["k"])
-        assert not got and set(waiting) == {"k"}
-
-    def test_dead_claimant_thread_is_reclaimed_by_ttl(self):
+    def test_dead_claimant_thread_is_reclaimed_by_ttl(self, table):
         """The in-process analogue of a killed worker: the claiming thread
         dies without release; the TTL reclaims on the next plan."""
-        table = InFlightTable(ttl=0.2)
 
         def claim_and_die():
             table.claim(["doomed"])  # never releases
@@ -141,6 +145,8 @@ class TestClaimTTL:
         t.start()
         t.join()  # claimant is gone, claim leaked
         assert len(table) == 1
-        time.sleep(0.3)
+        got, waiting = table.claim(["doomed"])  # its owner process still lives
+        assert not got and set(waiting) == {"doomed"}
+        age_claim(table.path, "doomed", 2 * TTL)
         got, waiting = table.claim(["doomed"])
         assert got == ["doomed"] and not waiting

@@ -71,6 +71,12 @@ class TestLifecycle:
         svc.close(drain=True, timeout=5)
         svc.close(drain=True, timeout=5)
 
+    def test_close_closes_the_event_loop(self, service):
+        svc = service()
+        loop = svc._loop
+        svc.close(drain=True, timeout=5)
+        assert loop.is_closed()
+
 
 class TestDedup:
     def test_identical_submit_dedupes(self, service, stub_requests):

@@ -11,7 +11,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 from repro.runner.engine import RunCache, RunSpec, execute_spec
@@ -24,6 +23,8 @@ from repro.service.shared import (
     owner_alive,
 )
 from repro.workloads import make_workload
+
+from .conftest import age_claim
 
 
 def _spec() -> RunSpec:
@@ -58,22 +59,21 @@ class TestSqliteClaimTable:
 
     def test_ttl_expiry_reclaims_unheartbeated_claim(self, tmp_path):
         db = tmp_path / "claims.sqlite"
-        a = SqliteClaimTable(db, ttl=0.2)
-        b = SqliteClaimTable(db, ttl=0.2)
+        a = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL)
+        b = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL)
         a.claim(["k"])
-        time.sleep(0.3)
+        age_claim(db, "k", 2 * DEFAULT_CLAIM_TTL)
         got, waiting = b.claim(["k"])  # expired: b takes it over
         assert got == ["k"] and not waiting
 
     def test_heartbeat_keeps_claim_alive(self, tmp_path):
         db = tmp_path / "claims.sqlite"
-        a = SqliteClaimTable(db, ttl=0.4)
-        b = SqliteClaimTable(db, ttl=0.4)
+        a = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL)
+        b = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL)
         a.claim(["k"])
-        for _ in range(3):
-            time.sleep(0.2)
-            a.heartbeat(["k"])
-        got, waiting = b.claim(["k"])  # heartbeats kept it fresh
+        age_claim(db, "k", 2 * DEFAULT_CLAIM_TTL)
+        a.heartbeat(["k"])
+        got, waiting = b.claim(["k"])  # the heartbeat kept it fresh
         assert not got and set(waiting) == {"k"}
 
     def test_killed_claimant_is_reclaimed(self, tmp_path):

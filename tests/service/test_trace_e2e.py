@@ -23,6 +23,7 @@ from repro import cli
 from repro.errors import JobNotFoundError, ServiceError, StoreUnavailableError
 from repro.service.client import ServiceClient
 from repro.service.core import AnalysisService, ServiceConfig
+from repro.service.dispatcher import Dispatcher
 from repro.service.http import ServiceServer
 
 from .conftest import WARM_PAYLOAD
@@ -210,3 +211,35 @@ class TestDegradedStore:
                 service.submit("stub", {"name": "a"})
         finally:
             service.close(drain=False, timeout=10.0)
+
+    def test_dispatcher_degrades_like_one_process(self, tmp_path):
+        """Two workers on a root whose shared files cannot be made start
+        degraded, exactly as one process does, instead of failing start."""
+        (tmp_path / "service").write_text("not a directory")
+        disp = Dispatcher(
+            ServiceConfig(cache_dir=tmp_path, workers=1), worker_count=2, port=0
+        ).start()
+        try:
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                urllib.request.urlopen(disp.url + "/healthz")
+            assert exc_info.value.code == 503
+            health = json.loads(exc_info.value.read().decode())
+            assert health["status"] == "degraded"
+            assert health["store"]["writable"] is False
+            assert health["topology"]["missing"] == 0
+            body = json.dumps({"kind": "analyze", "payload": WARM_PAYLOAD}).encode()
+            req = urllib.request.Request(
+                disp.url + "/v1/jobs", data=body, method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                urllib.request.urlopen(req)
+            assert exc_info.value.code == 503
+            payload = json.loads(exc_info.value.read().decode())
+            assert payload["status"] == "degraded"
+            assert payload["store"]["writable"] is False
+            # the client maps the relayed degraded 503 to its own error type
+            with pytest.raises(StoreUnavailableError):
+                ServiceClient(disp.url, timeout=30).submit("analyze", WARM_PAYLOAD)
+        finally:
+            disp.shutdown()
