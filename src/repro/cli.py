@@ -18,9 +18,15 @@ Subcommands mirror the paper's workflow:
   service (see :mod:`repro.service` and ``docs/service.md``): serve the
   HTTP JSON API, submit a request to it, and read a job back.
 
-The ``analyze``, ``sweep``, ``whatif``, ``predict`` and ``blame`` subcommands execute
-through the same :mod:`repro.service.requests` handlers the service uses,
-so a service job's result is byte-identical to the direct CLI output.
+The request verbs ``analyze``, ``whatif``, ``predict``, ``sweep``,
+``blame`` and ``models``, and ``scaltool submit KIND``, are generated
+from the request kinds' field tables (:data:`repro.service.requests.
+REQUEST_FIELDS`): a payload field's flag, default, parser and help are
+declared there once.  The verbs execute through the same handlers the
+service uses, so a service job's result is byte-identical to the direct
+CLI output.  ``campaign``, ``validate``, ``segments``, ``sharing`` and
+``balance`` get their campaign through the ``campaign`` request, so
+every command resolves its runs through the same run cache.
 
 Every subcommand accepts ``--verbose`` (per-run campaign progress and
 debug logging on stderr) and ``--metrics-out PATH`` (write the session's
@@ -30,19 +36,27 @@ JSONL metrics manifest after the command finishes).
 from __future__ import annotations
 
 import argparse
+import json
 import signal
 import sys
+from pathlib import Path
 
 from . import __version__
 from .core import ScalTool, validate_mp
 from .core.runplan import table1_rows, table3_matrix
-from .errors import ReproError
+from .errors import ReproError, ServiceError
 from .obs import configure_logging, export_jsonl, format_profile
 from .obs import runtime as obs_runtime
-from .runner import CampaignConfig, ScalToolCampaign, run_experiment
+from .runner import run_experiment
 from .runner.campaign import CampaignData
-from .runner.cache import cached_campaign
 from .runner.engine import default_executor
+from .service.requests import (
+    REQUEST_FIELDS,
+    REQUEST_KINDS,
+    Field,
+    RequestResult,
+    compile_request,
+)
 from .tools.perfex import format_report
 from .viz.tables import format_table
 from .workloads import available_workloads, make_workload
@@ -55,15 +69,65 @@ _CACHE_EPILOG = (
     "directory; --cache-dir overrides both."
 )
 
+_TARGET_HELP = (
+    "a workload name, a saved campaign directory (campaign.jsonl), a stored "
+    "job record / --save-result JSON, or a local job id"
+)
 
-def _counts(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad processor counts: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty processor counts")
-    return values
+#: The commands that run a request of their own kind, and print its output.
+_REQUEST_VERBS = ("analyze", "whatif", "predict", "sweep", "blame", "models")
+
+#: The commands that work on the campaign a ``campaign`` request assembles.
+_CAMPAIGN_COMMANDS = ("campaign", "validate", "segments", "sharing", "balance")
+
+
+def _field(kind: str, name: str) -> Field:
+    return next(f for f in REQUEST_FIELDS[kind] if f.name == name)
+
+
+def _arg_type(field: Field):
+    """The field's payload parser as an argparse ``type``."""
+
+    def parse(text: str):
+        try:
+            return field.parse(text, field.name)
+        except ServiceError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _add_fields(parser, fields, target: str | None = None) -> None:
+    """Give ``parser`` the CLI spelling of each field that has one.
+
+    ``target`` re-labels the workload positional, for the verbs that also
+    take a campaign directory, a dataset or a stored result there.
+    """
+    for field in fields:
+        if field.flags is None:
+            continue
+        if not field.flags:
+            relabel = target is not None and field.name == "workload"
+            parser.add_argument(
+                field.name,
+                type=_arg_type(field),
+                metavar="target" if relabel else None,
+                help=target if relabel else field.help,
+            )
+            continue
+        kwargs = {"dest": field.name, "help": field.help}
+        if field.default not in (None, False, {}):
+            shown = field.default
+            if isinstance(shown, tuple):
+                shown = ",".join(map(str, shown))
+            kwargs["help"] += f" (default: {shown})"
+        if field.action == "store":
+            kwargs.update(type=_arg_type(field), metavar=field.metavar)
+        elif field.action == "append":
+            kwargs.update(action="append", metavar=field.metavar)
+        else:
+            kwargs["action"] = field.action
+        parser.add_argument(*field.flags, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,22 +151,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the observability session as a JSONL metrics manifest",
     )
 
-    p_list = sub.add_parser("list", parents=[obs_common], help="list available workloads")
+    sub.add_parser("list", parents=[obs_common], help="list available workloads")
 
-    common = argparse.ArgumentParser(add_help=False, parents=[obs_common])
-    common.add_argument("workload", help="workload name (see `scaltool list`)")
-    common.add_argument("--s0", type=int, default=None, help="base data-set size in bytes")
-    common.add_argument(
-        "--counts", type=_counts, default=(1, 2, 4, 8, 16, 32), help="processor counts, e.g. 1,2,4,8"
-    )
-    common.add_argument(
+    # Where a command that runs campaigns keeps and runs them.
+    local = argparse.ArgumentParser(add_help=False, parents=[obs_common])
+    local.add_argument(
         "--cache-dir", default=None,
         help="campaign cache directory (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
     )
-    common.add_argument(
+    local.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="run campaign experiments on N worker processes (default: 1, serial)",
     )
+    saving = argparse.ArgumentParser(add_help=False)
+    saving.add_argument(
+        "--save-result", default=None, metavar="PATH",
+        help="also write the full result (output + data + lineage) as JSON, "
+        "for later `scaltool explain` / `scaltool doctor`",
+    )
+
+    def verb(name: str, text: str, parents=(), target=None, epilog=None):
+        p = sub.add_parser(name, parents=[local, *parents], help=text, epilog=epilog)
+        _add_fields(p, REQUEST_FIELDS[name if name in _REQUEST_VERBS else "campaign"], target)
+        return p
 
     p_run = sub.add_parser(
         "run", parents=[obs_common], help="run one experiment, print its perfex report"
@@ -111,65 +182,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--size", type=int, default=None, help="data-set size in bytes")
     p_run.add_argument("-n", "--processors", type=int, default=1)
 
-    p_campaign = sub.add_parser("campaign", parents=[common], help="run the Table-3 campaign")
+    p_campaign = verb("campaign", "run the Table-3 campaign")
     p_campaign.add_argument("--out", required=True, help="directory for the counter files")
     p_campaign.add_argument(
         "--export-speedup", default=None, metavar="PATH",
         help="also write the measured speedup curve as a scaltool-speedup-v1 "
         "dataset (.csv or .json) for `scaltool models`",
     )
+    verb("validate", "MP estimate vs speedshop")
+    p_segments = verb("segments", "per-segment breakdown (Section 2.1)")
+    _add_fields(p_segments, [_field("blame", "groups")])
+    verb("sharing", "sharing-corrected analysis (Section 6 extension)")
+    verb("balance", "per-processor load-balance report")
 
-    p_analyze = sub.add_parser(
-        "analyze", parents=[common], help="full bottleneck analysis", epilog=_CACHE_EPILOG
-    )
-    p_analyze.add_argument("--from-dir", default=None, help="load a saved campaign instead of running")
-    p_analyze.add_argument("--markdown", action="store_true", help="emit a markdown report")
+    # -- the request verbs: generated from the request kinds' field tables ------
+    p_analyze = verb("analyze", "full bottleneck analysis", [saving], epilog=_CACHE_EPILOG)
     p_analyze.add_argument(
-        "--save-result", default=None, metavar="PATH",
-        help="also write the full result (output + data + lineage) as JSON, "
-        "for later `scaltool explain` / `scaltool doctor`",
+        "--from-dir", default=None, help="load a saved campaign instead of running"
     )
-
-    p_validate = sub.add_parser("validate", parents=[common], help="MP estimate vs speedshop")
-
-    p_segments = sub.add_parser(
-        "segments", parents=[common], help="per-segment breakdown (Section 2.1)"
+    verb("whatif", "machine-parameter experiments")
+    verb("predict", "extrapolate the scaling to unmeasured counts")
+    verb(
+        "sweep",
+        "run a (workload params) x (machine params) grid, print a metric table",
+        epilog=_CACHE_EPILOG,
     )
-    p_segments.add_argument(
-        "--group",
-        action="append",
-        default=None,
-        metavar="NAME=PATTERN",
-        help="segment definition, e.g. --group spmv='spmv_*' (repeatable); "
-        "default: one segment per phase-name prefix",
-    )
-
-    p_blame = sub.add_parser(
-        "blame", parents=[obs_common],
-        help="graph-based scaling-loss localization: which segment loses the cycles, and why",
-    )
-    p_blame.add_argument(
-        "target",
-        help="a workload name, a saved campaign directory (campaign.jsonl), a "
-        "stored job record / --save-result JSON, or a job id (local store, or --url)",
-    )
-    p_blame.add_argument("--s0", type=int, default=None, help="base data-set size in bytes")
-    p_blame.add_argument(
-        "--counts", type=_counts, default=(1, 2, 4, 8, 16, 32),
-        help="processor counts, e.g. 1,2,4,8 (workload targets only)",
-    )
-    p_blame.add_argument(
-        "--cache-dir", default=None,
-        help="campaign cache directory (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
-    )
-    p_blame.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run any missing campaign experiments on N worker processes",
-    )
-    p_blame.add_argument(
-        "--group", action="append", default=None, metavar="NAME=PATTERN",
-        help="segment definition, e.g. --group spmv='spmv_*' (repeatable); "
-        "default: one segment per phase-name prefix",
+    p_blame = verb(
+        "blame",
+        "graph-based scaling-loss localization: which segment loses the cycles, and why",
+        target=_TARGET_HELP + " (or a job id on --url)",
     )
     p_blame.add_argument(
         "--against", default=None, metavar="TARGET",
@@ -183,10 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_blame.add_argument(
         "--json", action="store_true", help="print the raw BlameReport (or diff) as JSON"
     )
-
-    p_sharing = sub.add_parser(
-        "sharing", parents=[common], help="sharing-corrected analysis (Section 6 extension)"
+    p_models = verb(
+        "models",
+        "fit USL/granularity/Scal-Tool scalability models and cross-validate them",
+        [saving],
+        target=_TARGET_HELP + ", or a speedup dataset (.csv/.json)",
+        epilog=_CACHE_EPILOG,
     )
+    p_models.add_argument("--json", action="store_true", help="print the structured report as JSON")
 
     p_profile = sub.add_parser(
         "profile",
@@ -195,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument("workload", help="workload name (see `scaltool list`)")
     p_profile.add_argument("--s0", type=int, default=None, help="base data-set size in bytes")
+    counts = _arg_type(_field("campaign", "counts"))
     p_profile.add_argument(
-        "--counts", type=_counts, default=(1, 2, 4),
+        "--counts", type=counts, default=(1, 2, 4),
         help="processor counts to profile, e.g. 1,2,4 (kept small: profiling re-runs everything)",
     )
     p_profile.add_argument(
@@ -231,100 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(render later with `scaltool obs hot PATH`)",
     )
 
-    p_sweep = sub.add_parser(
-        "sweep",
-        parents=[obs_common],
-        help="run a (workload params) x (machine params) grid, print a metric table",
-        epilog=_CACHE_EPILOG,
-    )
-    p_sweep.add_argument("workload", help="workload name (see `scaltool list`)")
-    p_sweep.add_argument("--size", type=int, default=None, help="data-set size in bytes")
-    p_sweep.add_argument("-n", "--processors", type=int, default=8)
-    p_sweep.add_argument(
-        "--workload-axis", action="append", default=None, metavar="NAME=V1,V2",
-        help="workload constructor axis, e.g. --workload-axis halo_blocks=0,1,2 (repeatable)",
-    )
-    p_sweep.add_argument(
-        "--machine-axis", action="append", default=None, metavar="NAME=V1,V2",
-        help="machine configuration axis, e.g. --machine-axis protocol=mesi,msi (repeatable)",
-    )
-    p_sweep.add_argument(
-        "--metric", action="append", default=None, metavar="NAME",
-        help="counter to tabulate per grid point (CounterSet field or 'cpi'; "
-        "repeatable; default: cpi)",
-    )
-    p_sweep.add_argument(
-        "--cache-dir", default=None,
-        help="per-run cache directory (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
-    )
-    p_sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run grid points on N worker processes (default: 1, serial)",
-    )
-
     p_topology = sub.add_parser(
         "topology", parents=[obs_common], help="tm(n) growth by interconnect topology"
     )
-    p_topology.add_argument("--counts", type=_counts, default=(2, 8, 32))
+    p_topology.add_argument("--counts", type=counts, default=(2, 8, 32))
     p_topology.add_argument(
         "--topologies", default="hypercube,mesh,ring,crossbar", help="comma-separated list"
     )
-
-    p_predict = sub.add_parser(
-        "predict", parents=[common], help="extrapolate the scaling to unmeasured counts"
-    )
-    p_predict.add_argument(
-        "--to", type=_counts, default=(48, 64, 128), help="counts to predict, e.g. 64,128"
-    )
-
-    p_models = sub.add_parser(
-        "models", parents=[obs_common],
-        help="fit USL/granularity/Scal-Tool scalability models and cross-validate them",
-        epilog=_CACHE_EPILOG,
-    )
-    p_models.add_argument(
-        "action", choices=("fit", "compare", "predict"),
-        help="fit: per-model coefficients; compare: cross-validate the suite; "
-        "predict: extrapolate with CI bands",
-    )
-    p_models.add_argument(
-        "target",
-        help="workload name, campaign directory, speedup dataset (.csv/.json), "
-        "saved result, or local job id",
-    )
-    p_models.add_argument("--s0", type=int, default=None, help="base data-set size in bytes")
-    p_models.add_argument(
-        "--counts", type=_counts, default=(1, 2, 4, 8, 16, 32),
-        help="processor counts, e.g. 1,2,4,8 (workload targets)",
-    )
-    p_models.add_argument(
-        "--to", type=_counts, default=(32, 64, 128),
-        help="counts to extrapolate to (predict), e.g. 64,128",
-    )
-    p_models.add_argument(
-        "--cache-dir", default=None,
-        help="campaign cache directory (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
-    )
-    p_models.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run campaign experiments on N worker processes (default: 1, serial)",
-    )
-    p_models.add_argument("--json", action="store_true", help="print the structured report as JSON")
-    p_models.add_argument(
-        "--save-result", default=None, metavar="PATH",
-        help="also write the full result (output + data + lineage) as JSON",
-    )
-
-    p_balance = sub.add_parser(
-        "balance", parents=[common], help="per-processor load-balance report"
-    )
-
-    p_whatif = sub.add_parser("whatif", parents=[common], help="machine-parameter experiments")
-    p_whatif.add_argument("--t2", type=float, default=1.0, help="scale factor for t2")
-    p_whatif.add_argument("--tm", type=float, default=1.0, help="scale factor for tm")
-    p_whatif.add_argument("--tsyn", type=float, default=1.0, help="scale factor for tsyn")
-    p_whatif.add_argument("--cpi0", type=float, default=1.0, help="scale factor for cpi0")
-    p_whatif.add_argument("--l2", type=float, default=None, help="L2 size factor k")
 
     p_plan = sub.add_parser(
         "plan", parents=[obs_common], help="print Table 1 / Table 3 resource accounting"
@@ -376,27 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="service base URL (default: $SCALTOOL_SERVICE_URL or http://127.0.0.1:8032)",
     )
 
-    p_submit = sub.add_parser(
-        "submit", parents=[client_common], help="submit a request to a running service"
-    )
-    p_submit.add_argument(
-        "kind", help="analyze | blame | campaign | models | sweep | whatif | predict"
-    )
-    p_submit.add_argument("workload", help="workload name (see `scaltool list`)")
-    p_submit.add_argument("--s0", type=int, default=None, help="base data-set size in bytes")
-    p_submit.add_argument("--size", type=int, default=None, help="data-set size (sweep)")
-    p_submit.add_argument("--counts", type=_counts, default=None, help="processor counts, e.g. 1,2,4")
-    p_submit.add_argument("-n", "--processors", type=int, default=None, help="processor count (sweep)")
-    p_submit.add_argument("--to", type=_counts, default=None, help="counts to predict, e.g. 64,128")
-    p_submit.add_argument(
-        "--arg", action="append", default=None, metavar="NAME=VALUE",
-        help="extra payload field, e.g. --arg tm=0.5 or --arg markdown=true (repeatable)",
-    )
-    p_submit.add_argument("--priority", type=int, default=None, help="lower runs sooner")
-    p_submit.add_argument(
+    submitting = argparse.ArgumentParser(add_help=False, parents=[client_common])
+    submitting.add_argument("--priority", type=int, default=None, help="lower runs sooner")
+    submitting.add_argument(
         "--wait", action="store_true", help="block until the job finishes, print its output"
     )
-    p_submit.add_argument("--timeout", type=float, default=600.0, help="--wait timeout in seconds")
+    submitting.add_argument(
+        "--timeout", type=float, default=600.0, help="--wait timeout in seconds"
+    )
+    p_submit = sub.add_parser("submit", help="submit a request to a running service")
+    submit_kinds = p_submit.add_subparsers(dest="kind", required=True, metavar="KIND")
+    for kind in REQUEST_KINDS:
+        p = submit_kinds.add_parser(
+            kind, parents=[submitting], help=f"submit a request of kind {kind}"
+        )
+        _add_fields(p, REQUEST_FIELDS[kind])
 
     p_status = sub.add_parser(
         "status", parents=[client_common], help="print a service job's status as JSON"
@@ -410,43 +363,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_result.add_argument("--wait", action="store_true", help="block until the job finishes")
     p_result.add_argument("--timeout", type=float, default=600.0, help="--wait timeout in seconds")
 
-    p_explain = sub.add_parser(
-        "explain", parents=[obs_common],
-        help="walk a result back to its runs and fits (lineage + diagnostics)",
-    )
-    p_explain.add_argument(
+    # A stored result to read: explain and doctor.
+    stored = argparse.ArgumentParser(add_help=False, parents=[obs_common])
+    stored.add_argument(
         "target",
         help="a job id (read from the local job store, or --url), or a path to a "
         "stored job record / --save-result JSON",
     )
-    p_explain.add_argument(
+    stored.add_argument(
         "--cache-dir", default=None,
         help="cache root holding the job store (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
     )
-    p_explain.add_argument(
+    stored.add_argument(
         "--url", default=None,
         help="fall back to a running service at this URL when the job is not stored locally",
+    )
+    p_explain = sub.add_parser(
+        "explain", parents=[stored],
+        help="walk a result back to its runs and fits (lineage + diagnostics)",
     )
     p_explain.add_argument(
         "--json", action="store_true", help="print the raw lineage/diagnostics as JSON"
     )
-
-    p_doctor = sub.add_parser(
-        "doctor", parents=[obs_common],
+    sub.add_parser(
+        "doctor", parents=[stored],
         help="re-validate a stored result's diagnostics (exit 1 on `suspect`)",
-    )
-    p_doctor.add_argument(
-        "target",
-        help="a job id (read from the local job store, or --url), or a path to a "
-        "stored job record / --save-result JSON",
-    )
-    p_doctor.add_argument(
-        "--cache-dir", default=None,
-        help="cache root holding the job store (default: $SCALTOOL_CACHE_DIR or .scaltool_cache)",
-    )
-    p_doctor.add_argument(
-        "--url", default=None,
-        help="fall back to a running service at this URL when the job is not stored locally",
     )
 
     p_obs = sub.add_parser(
@@ -500,60 +441,51 @@ def _progress_printer(args):
     return render
 
 
-def _executor_for(args):
-    """The engine executor the command asked for (serial unless --jobs > 1)."""
-    return default_executor(getattr(args, "jobs", 1))
+def _named(field: Field, specs: list[str]) -> dict:
+    """The values of a repeatable ``NAME=VALUE`` flag as its payload object."""
+    out: dict = {}
+    for spec in specs:
+        name, _, value = spec.partition("=")
+        if not name or not value:
+            raise ReproError(f"bad {field.flags[0]} {spec!r}; expected {field.metavar}")
+        out[name] = field.item(value)
+    return out
 
 
-def _execute_request(args, kind: str, payload: dict):
-    """Run one service-style request inline (the CLI fast path).
+def _payload(kind: str, args) -> dict:
+    """The ``kind`` payload the command line gives: the fields it names."""
+    payload = {}
+    for field in REQUEST_FIELDS[kind]:
+        value = getattr(args, field.name, None)
+        if value is not None:
+            payload[field.name] = _named(field, value) if field.item else value
+    return payload
 
-    This is the same handler the analysis service executes for a job of
-    the same kind/payload, which is what keeps ``scaltool result`` output
-    byte-identical to the direct CLI command.
-    """
-    from .service.requests import compile_request
 
-    request = compile_request(kind, payload)
-    result = request.execute(
+def _execute_request(args, kind: str, payload: dict) -> RequestResult:
+    """Run one request inline, through the handler the service runs for
+    a job of the same kind and payload (which is what keeps ``scaltool
+    result`` output byte-identical to the direct CLI command)."""
+    return compile_request(kind, payload).execute(
         cache_root=args.cache_dir,
-        executor=_executor_for(args),
+        executor=default_executor(args.jobs),
         progress=_progress_printer(args),
     )
-    save_path = getattr(args, "save_result", None)
-    if save_path:
-        import json as _json
-        from pathlib import Path as _Path
-
-        path = _Path(save_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"result saved to {path}", file=sys.stderr)
-    return result
 
 
-def _campaign_for(args) -> tuple[CampaignData, object]:
-    workload = make_workload(args.workload)
-    s0 = args.s0 if args.s0 else workload.default_size()
-    config = CampaignConfig(s0=s0, processor_counts=args.counts)
-    campaign = cached_campaign(
-        workload,
-        config,
-        cache_dir=args.cache_dir,
-        progress=_progress_printer(args),
-        executor=_executor_for(args),
-    )
-    return campaign, workload
+def _on_campaign_dir(kind: str, payload: dict, directory) -> RequestResult:
+    """The request answered inline over a saved campaign directory."""
+    campaign = CampaignData.load(directory)
+    request = compile_request(kind, {**payload, "workload": campaign.workload})
+    return request.answer(campaign, ScalTool(campaign).analyze())
 
 
 def _local_job_store(cache_dir: str | None):
     """The job store under the cache root (``--cache-dir`` or the default)."""
-    from pathlib import Path as _Path
-
     from .runner.engine import default_cache_root
     from .service.store import JobStore
 
-    root = _Path(cache_dir) if cache_dir else default_cache_root()
+    root = Path(cache_dir) if cache_dir else default_cache_root()
     return JobStore(root / "service" / "jobs")
 
 
@@ -566,14 +498,11 @@ def _stored_result(target: str, cache_dir: str | None, nothing: str):
     (None for a bare saved result) — or None when the target is neither.
     ``nothing`` ends the error raised for a job that has no result.
     """
-    import json as _json
-    from pathlib import Path as _Path
-
-    path = _Path(target)
+    path = Path(target)
     if path.is_file():
         try:
-            doc = _json.loads(path.read_text())
-        except (OSError, _json.JSONDecodeError) as exc:
+            doc = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
             raise ReproError(f"cannot read {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ReproError(f"{path} does not hold a result object")
@@ -619,17 +548,7 @@ def _load_stored_result(args) -> tuple[str, dict]:
     )
 
 
-def _blame_groups(args) -> dict:
-    groups: dict = {}
-    for spec in getattr(args, "group", None) or []:
-        name, _, pattern = spec.partition("=")
-        if not pattern:
-            raise ReproError(f"bad --group {spec!r}; expected NAME=PATTERN")
-        groups[name] = pattern.strip("'\"")
-    return groups
-
-
-def _blame_payload_from_result(label: str, result: dict) -> dict:
+def _campaign_payload_of_result(label: str, result: dict) -> dict:
     """Recover the campaign payload from a saved result's data + lineage."""
     data = result.get("data") or {}
     lineage = result.get("lineage") or {}
@@ -648,7 +567,7 @@ def _blame_payload_from_result(label: str, result: dict) -> dict:
     if missing:
         raise ReproError(
             f"{label} does not identify a campaign (missing {', '.join(missing)}); "
-            "blame a workload name or a campaign directory instead"
+            "use a workload name or a campaign directory instead"
         )
     return payload
 
@@ -665,152 +584,97 @@ def _stored_campaign_payload(path, job: dict | None, result: dict) -> dict:
             "counts": payload["counts"],
         }
     label = str(path) if path is not None else f"job {job['id']} ({job['kind']})"
-    return _blame_payload_from_result(label, result or {})
+    return _campaign_payload_of_result(label, result or {})
 
 
-def _blame_target_report(args, target: str) -> tuple[str, dict]:
-    """Resolve a blame target to ``(rendered output, report dict)``.
+def _speedup_dataset(path: Path) -> dict | None:
+    """The curve of a speedup dataset file (CSV, or JSON carrying a points
+    list), or None when ``path`` is no such file."""
+    if not path.is_file():
+        return None
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        pass  # CSV (or unreadable; the loader reports that properly)
+    else:
+        if not (isinstance(doc, dict) and "points" in doc):
+            return None
+    from .models import SpeedupDataset
 
-    Tried in order: a saved campaign directory, a workload name, a stored
-    job record / saved result / local job-store id, a job id on a running
-    service (``--url``).
+    return SpeedupDataset.load(path).to_dict()
+
+
+def _target_result(args, target: str) -> RequestResult:
+    """Run the ``blame`` or ``models`` request of ``args`` on ``target``.
+
+    Tried in order: a saved campaign directory (analysed inline), a
+    workload name, a speedup dataset file (models), a stored job record /
+    saved result / local job-store id (its campaign, or for blame the
+    stored report of a blame job), a job id on a running service (blame,
+    ``--url``).
     """
-    from pathlib import Path as _Path
-
-    from .viz import render_blame
-
-    groups = _blame_groups(args)
-    path = _Path(target)
+    kind = args.command
+    payload = {**_payload(kind, args), "workload": target}
+    path = Path(target)
     if path.is_dir() and (path / "campaign.jsonl").exists():
-        from .analysis import blame_campaign
-
-        campaign = CampaignData.load(path)
-        analysis = ScalTool(campaign).analyze()
-        report = blame_campaign(analysis, campaign, groups=groups or None).to_dict()
-        return render_blame(report) + "\n", report
+        return _on_campaign_dir(kind, payload, path)
     if target in available_workloads():
-        result = _execute_request(
-            args,
-            "blame",
-            {
-                "workload": target,
-                "s0": args.s0,
-                "counts": list(args.counts),
-                "groups": groups,
-            },
-        )
-        return result.output, result.data["report"]
-    stored = _stored_result(target, args.cache_dir, "nothing to blame")
+        return _execute_request(args, kind, payload)
+    dataset = _speedup_dataset(path) if kind == "models" else None
+    if dataset is not None:
+        return _execute_request(args, kind, {**payload, "dataset": dataset})
+    stored = _stored_result(target, args.cache_dir, f"nothing to run {kind} on")
     if stored is not None:
-        path, job, result = stored
-        data = (result or {}).get("data") or {}
-        if job and job["kind"] == "blame" and isinstance(data.get("report"), dict):
-            report = data["report"]
-            return (result.get("output") or render_blame(report) + "\n"), report
-        req_payload = _stored_campaign_payload(path, job, result)
-        req_payload["groups"] = groups
-        derived = _execute_request(args, "blame", req_payload)
-        return derived.output, derived.data["report"]
-    if args.url:
+        _, job, result = stored
+        data = result.get("data") or {}
+        report = data.get("report")
+        if kind == "blame" and job and job["kind"] == "blame" and isinstance(report, dict):
+            from .viz import render_blame
+
+            return RequestResult(result.get("output") or render_blame(report) + "\n", data)
+        return _execute_request(args, kind, {**payload, **_stored_campaign_payload(*stored)})
+    if kind == "blame" and args.url:
         from .service.client import ServiceClient
 
         view = ServiceClient(args.url).blame(target)
-        return view["output"], view["report"]
+        return RequestResult(view["output"], {"report": view["report"]})
     raise ReproError(
-        f"cannot resolve blame target {target!r}: not a workload name, a saved "
-        "campaign directory, a stored result file, or a local job id "
-        "(pass --cache-dir, or --url for a running service)"
+        f"cannot resolve {kind} target {target!r}: not a workload name, a saved "
+        "campaign directory, a speedup dataset file (models), a stored result "
+        "file, or a local job id (pass --cache-dir for the local job store, or, "
+        "for blame, --url for a running service)"
     )
 
 
-def _models_result(args):
-    """Resolve a ``models`` target and run the action through the shared
-    request handler (so CLI output stays byte-identical to a service job).
+def _request_verb(args) -> int:
+    """``analyze`` / ``whatif`` / ``predict`` / ``sweep`` / ``blame`` / ``models``."""
+    kind = args.command
+    if kind in ("blame", "models"):
+        result = _target_result(args, args.workload)
+    elif getattr(args, "from_dir", None):
+        result = _on_campaign_dir(kind, _payload(kind, args), args.from_dir)
+    else:
+        result = _execute_request(args, kind, _payload(kind, args))
+    if getattr(args, "save_result", None):
+        path = Path(args.save_result)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
+        print(f"result saved to {path}", file=sys.stderr)
+    if getattr(args, "against", None):
+        from .analysis import BlameReport, diff_reports
+        from .viz import render_blame_diff
 
-    Tried in order: a saved campaign directory (analysed inline, like
-    ``blame``), a workload name, a speedup dataset file (.csv or
-    ``scaltool-speedup-v1`` JSON), a stored job record / saved result /
-    local job-store id.
-    """
-    import json as _json
-    from pathlib import Path as _Path
-
-    from .service.requests import RequestResult
-
-    target = args.target
-    payload: dict = {"action": args.action}
-    if args.action == "predict":
-        payload["to"] = list(args.to)
-
-    path = _Path(target)
-    if path.is_dir() and (path / "campaign.jsonl").exists():
-        from .models import SpeedupDataset, run_action
-
-        campaign = CampaignData.load(path)
-        analysis = ScalTool(campaign).analyze()
-        dataset = SpeedupDataset.from_campaign(campaign)
-        output, data = run_action(args.action, dataset, analysis, to=payload.get("to"))
-        result = RequestResult(output=output, data=data)
-        save_path = getattr(args, "save_result", None)
-        if save_path:
-            out = _Path(save_path)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(_json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
-            print(f"result saved to {out}", file=sys.stderr)
-        return result
-
-    if target in available_workloads():
-        payload.update(
-            {"workload": target, "s0": args.s0, "counts": list(args.counts)}
+        other = _target_result(args, args.against).data["report"]
+        diff = diff_reports(
+            BlameReport.from_dict(result.data["report"]), BlameReport.from_dict(other)
         )
-        return _execute_request(args, "models", payload)
-
-    if path.is_file():
-        # A dataset file (CSV, or JSON carrying a points list) beats the
-        # stored-result interpretations.
-        is_dataset = True
-        try:
-            doc = _json.loads(path.read_text())
-        except (OSError, _json.JSONDecodeError):
-            pass  # CSV (or unreadable; the loader reports that properly)
-        else:
-            is_dataset = isinstance(doc, dict) and "points" in doc
-        if is_dataset:
-            from .models import SpeedupDataset
-
-            payload["dataset"] = SpeedupDataset.load(path).to_dict()
-            return _execute_request(args, "models", payload)
-
-    stored = _stored_result(target, args.cache_dir, "nothing to blame")
-    if stored is not None:
-        payload.update(_stored_campaign_payload(*stored))
-        return _execute_request(args, "models", payload)
-
-    raise ReproError(
-        f"cannot resolve models target {target!r}: not a workload name, a saved "
-        "campaign directory, a speedup dataset file, a stored result file, or "
-        "a local job id (pass --cache-dir for the local job store)"
-    )
-
-
-def _axis_value(text: str):
-    """Axis values parse as int, then float, then bare string."""
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_axes(specs: list[str] | None, flag: str) -> dict:
-    axes: dict = {}
-    for spec in specs or []:
-        name, _, values = spec.partition("=")
-        if not name or not values:
-            raise ReproError(f"bad {flag} {spec!r}; expected NAME=V1,V2,...")
-        axes[name] = [_axis_value(v) for v in values.split(",")]
-    return axes
+        print(json.dumps(diff, indent=2, sort_keys=True) if args.json else render_blame_diff(diff))
+    elif getattr(args, "json", False):
+        data = result.data["report"] if kind == "blame" else result.data
+        print(json.dumps(data, indent=2, sort_keys=True))
+    else:
+        sys.stdout.write(result.output)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -857,131 +721,20 @@ def _dispatch(args) -> int:
         print(format_report(record.counters, record.per_cpu, metadata=meta))
         return 0
 
-    if args.command == "campaign":
-        workload = make_workload(args.workload)
-        s0 = args.s0 if args.s0 else workload.default_size()
-        config = CampaignConfig(s0=s0, processor_counts=args.counts)
-        data = ScalToolCampaign(workload, config, progress=lambda m: print(f"  {m}")).run(
-            progress=_progress_printer(args), executor=_executor_for(args)
+    if args.command in _REQUEST_VERBS:
+        return _request_verb(args)
+
+    if args.command in _CAMPAIGN_COMMANDS:
+        request = compile_request("campaign", _payload("campaign", args))
+        if args.command == "campaign":
+            for spec in request.specs():
+                print(
+                    f"  {spec.workload}: {spec.role} size={spec.size_bytes} n={spec.n_processors}"
+                )
+        campaign = request.campaign(
+            args.cache_dir, default_executor(args.jobs), _progress_printer(args)
         )
-        manifest = data.save(args.out)
-        print(f"wrote {len(data.records)} runs to {manifest.parent}")
-        if args.export_speedup:
-            from .models import SpeedupDataset
-
-            path = SpeedupDataset.from_campaign(data).save(args.export_speedup)
-            print(f"wrote speedup curve to {path}")
-        return 0
-
-    if args.command == "analyze":
-        if args.from_dir:
-            campaign = CampaignData.load(args.from_dir)
-            analysis = ScalTool(campaign).analyze()
-            if args.markdown:
-                from .core.report import export_markdown
-
-                print(export_markdown(analysis))
-            else:
-                print(analysis.report())
-            return 0
-        result = _execute_request(
-            args,
-            "analyze",
-            {
-                "workload": args.workload,
-                "s0": args.s0,
-                "counts": list(args.counts),
-                "markdown": args.markdown,
-            },
-        )
-        sys.stdout.write(result.output)
-        return 0
-
-    if args.command == "segments":
-        from .core.segments import analyze_segments, phase_names
-
-        campaign, _ = _campaign_for(args)
-        analysis = ScalTool(campaign).analyze()
-        groups = _blame_groups(args)
-        if not groups:
-            prefixes = sorted({name.split("_")[0] for name in phase_names(campaign)})
-            groups = {p: f"{p}*" for p in prefixes}
-        print(analyze_segments(analysis, campaign, groups).summary())
-        return 0
-
-    if args.command == "blame":
-        import json as _json
-
-        output, report = _blame_target_report(args, args.target)
-        if args.against:
-            from .analysis import BlameReport, diff_reports
-            from .viz import render_blame_diff
-
-            _, other = _blame_target_report(args, args.against)
-            diff = diff_reports(BlameReport.from_dict(report), BlameReport.from_dict(other))
-            if args.json:
-                print(_json.dumps(diff, indent=2, sort_keys=True))
-            else:
-                print(render_blame_diff(diff))
-            return 0
-        if args.json:
-            print(_json.dumps(report, indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(output)
-        return 0
-
-    if args.command == "sharing":
-        from .core.sharing import analyze_sharing
-
-        campaign, _ = _campaign_for(args)
-        analysis = ScalTool(campaign).analyze()
-        sharing = analyze_sharing(analysis, campaign)
-        print(format_table(sharing.rows(), title="event-31 decomposition (Section 6 extension)"))
-        corrected = sharing.corrected_curves
-        rows = [
-            {
-                "n": n,
-                "Sync (raw)": analysis.curves.sync_cost[n],
-                "Sync (corrected)": corrected.sync_cost[n],
-                "Imb (raw)": analysis.curves.imb_cost[n],
-                "Imb (corrected)": corrected.imb_cost[n],
-            }
-            for n in analysis.curves.processor_counts
-        ]
-        print()
-        print(format_table(rows, title="sharing-corrected bottleneck costs"))
-        return 0
-
-    if args.command == "predict":
-        result = _execute_request(
-            args,
-            "predict",
-            {
-                "workload": args.workload,
-                "s0": args.s0,
-                "counts": list(args.counts),
-                "to": list(args.to),
-            },
-        )
-        sys.stdout.write(result.output)
-        return 0
-
-    if args.command == "models":
-        import json as _json
-
-        result = _models_result(args)
-        if args.json:
-            print(_json.dumps(result.data, indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(result.output)
-        return 0
-
-    if args.command == "balance":
-        from .core.balance import analyze_balance
-
-        campaign, _ = _campaign_for(args)
-        print(analyze_balance(campaign).summary())
-        return 0
+        return _campaign_command(args, campaign)
 
     if args.command == "topology":
         from .machine.config import origin2000_scaled
@@ -995,46 +748,6 @@ def _dispatch(args) -> int:
         print(format_table([p.row() for p in points], title="tm(n) by topology"))
         return 0
 
-    if args.command == "validate":
-        campaign, _ = _campaign_for(args)
-        analysis = ScalTool(campaign).analyze()
-        print(validate_mp(analysis, campaign).summary())
-        return 0
-
-    if args.command == "whatif":
-        result = _execute_request(
-            args,
-            "whatif",
-            {
-                "workload": args.workload,
-                "s0": args.s0,
-                "counts": list(args.counts),
-                "t2": args.t2,
-                "tm": args.tm,
-                "tsyn": args.tsyn,
-                "cpi0": args.cpi0,
-                "l2": args.l2,
-            },
-        )
-        sys.stdout.write(result.output)
-        return 0
-
-    if args.command == "sweep":
-        result = _execute_request(
-            args,
-            "sweep",
-            {
-                "workload": args.workload,
-                "size": args.size,
-                "n": args.processors,
-                "workload_axes": _parse_axes(args.workload_axis, "--workload-axis"),
-                "machine_axes": _parse_axes(args.machine_axis, "--machine-axis"),
-                "metrics": args.metric or ["cpi"],
-            },
-        )
-        sys.stdout.write(result.output)
-        return 0
-
     if args.command == "profile":
         from .obs.profile import profile_workload
 
@@ -1044,7 +757,7 @@ def _dispatch(args) -> int:
             processor_counts=args.counts,
             run_analysis=not args.no_analysis,
             progress=_progress_printer(args),
-            executor=_executor_for(args),
+            executor=default_executor(args.jobs),
             line_profile=args.lines,
             sample_interval=args.sample_interval / 1e3,
             sample_memory=args.memory,
@@ -1056,15 +769,12 @@ def _dispatch(args) -> int:
         }
         print(format_profile(result.session, meta=meta))
         if result.line_profile is not None:
-            import json as _json
-            from pathlib import Path as _Path
-
             from .viz.sampler_view import render_hot_profile
 
             profile = result.line_profile
             print(render_hot_profile(profile.to_dict()))
             if args.flame:
-                _Path(args.flame).write_text("\n".join(profile.folded()) + "\n")
+                Path(args.flame).write_text("\n".join(profile.folded()) + "\n")
                 print(f"flamegraph stacks written to {args.flame}")
             if args.profile_out:
                 payload = {
@@ -1075,14 +785,14 @@ def _dispatch(args) -> int:
                     "jobs": args.jobs,
                     "profile": profile.to_dict(),
                 }
-                _Path(args.profile_out).write_text(
-                    _json.dumps(payload, indent=2, sort_keys=True) + "\n"
+                Path(args.profile_out).write_text(
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n"
                 )
                 print(f"line profile written to {args.profile_out}")
         return 0
 
     if args.command == "serve":
-        from .service import Dispatcher, ServiceConfig, ServiceServer
+        from .service.core import ServiceConfig
 
         config = ServiceConfig(
             cache_dir=args.cache_dir,
@@ -1093,6 +803,8 @@ def _dispatch(args) -> int:
             claim_ttl=args.claim_ttl,
         )
         if args.workers >= 2:
+            from .service.dispatcher import Dispatcher
+
             server = Dispatcher(
                 config, worker_count=args.workers, host=args.host, port=args.port
             )
@@ -1102,6 +814,8 @@ def _dispatch(args) -> int:
                 file=sys.stderr,
             )
         else:
+            from .service.http import ServiceServer
+
             server = ServiceServer(config, host=args.host, port=args.port)
             print(f"scaltool service listening on {server.url}", file=sys.stderr)
 
@@ -1120,27 +834,8 @@ def _dispatch(args) -> int:
     if args.command == "submit":
         from .service.client import ServiceClient
 
-        payload: dict = {"workload": args.workload}
-        if args.s0 is not None:
-            payload["s0"] = args.s0
-        if args.size is not None:
-            payload["size"] = args.size
-        if args.counts is not None:
-            payload["counts"] = list(args.counts)
-        if args.processors is not None:
-            payload["n"] = args.processors
-        if args.to is not None:
-            payload["to"] = list(args.to)
-        for spec in args.arg or []:
-            name, _, value = spec.partition("=")
-            if not name or not value:
-                raise ReproError(f"bad --arg {spec!r}; expected NAME=VALUE")
-            if value in ("true", "false"):
-                payload[name] = value == "true"
-            else:
-                payload[name] = _axis_value(value)
         client = ServiceClient(args.url)
-        submitted = client.submit(args.kind, payload, priority=args.priority)
+        submitted = client.submit(args.kind, _payload(args.kind, args), priority=args.priority)
         dedup = " (deduplicated)" if submitted.get("deduped") else ""
         print(f"job {submitted['id']} {submitted['state']}{dedup}", file=sys.stderr)
         if not args.wait:
@@ -1153,11 +848,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "status":
-        import json as _json
-
         from .service.client import ServiceClient
 
-        print(_json.dumps(ServiceClient(args.url).status(args.job_id), indent=2, sort_keys=True))
+        print(json.dumps(ServiceClient(args.url).status(args.job_id), indent=2, sort_keys=True))
         return 0
 
     if args.command == "result":
@@ -1177,14 +870,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "explain":
-        import json as _json
-
         label, result = _load_stored_result(args)
         lineage = result.get("lineage")
         diagnostics = (result.get("data") or {}).get("diagnostics")
         if args.json:
             print(
-                _json.dumps(
+                json.dumps(
                     {"lineage": lineage, "diagnostics": diagnostics},
                     indent=2,
                     sort_keys=True,
@@ -1247,14 +938,12 @@ def _dispatch(args) -> int:
 
     if args.command == "obs":
         if args.obs_command == "trace":
-            import json as _json
-
             from .service.client import ServiceClient
             from .viz.trace_view import render_trace
 
             view = ServiceClient(args.url).trace(args.job_id)
             if args.json:
-                print(_json.dumps(view, indent=2, sort_keys=True))
+                print(json.dumps(view, indent=2, sort_keys=True))
                 return 0
             state = "complete" if view.get("complete") else "in flight"
             print(f"# trace {view['trace_id']} — job {view['job']} ({state})")
@@ -1266,20 +955,17 @@ def _dispatch(args) -> int:
             print(summarize_manifest(args.manifest, limit=args.limit, sort=args.sort))
             return 0
         if args.obs_command == "hot":
-            import json as _json
-            from pathlib import Path as _Path
-
             from .obs.sampler import SampleProfile
             from .viz.sampler_view import render_hot_profile
 
-            data = _json.loads(_Path(args.profile).read_text())
+            data = json.loads(Path(args.profile).read_text())
             # Accept the CLI artifact ({"kind": "hotpath", "profile": ...}),
             # the service response ({"profile": ...}), or a bare profile.
             profile_dict = data.get("profile", data) if isinstance(data, dict) else data
             print(render_hot_profile(profile_dict, limit=args.limit))
             if args.flame:
                 folded = SampleProfile.from_dict(profile_dict).folded()
-                _Path(args.flame).write_text("\n".join(folded) + "\n")
+                Path(args.flame).write_text("\n".join(folded) + "\n")
                 print(f"flamegraph stacks written to {args.flame}")
             return 0
         raise ReproError(f"unknown obs command {args.obs_command!r}")  # pragma: no cover
@@ -1296,6 +982,55 @@ def _dispatch(args) -> int:
         return 0
 
     raise ReproError(f"unknown command {args.command!r}")  # pragma: no cover
+
+
+def _campaign_command(args, campaign: CampaignData) -> int:
+    """``campaign`` / ``validate`` / ``segments`` / ``sharing`` / ``balance``
+    over the campaign the command names."""
+    if args.command == "campaign":
+        manifest = campaign.save(args.out)
+        print(f"wrote {len(campaign.records)} runs to {manifest.parent}")
+        if args.export_speedup:
+            from .models import SpeedupDataset
+
+            path = SpeedupDataset.from_campaign(campaign).save(args.export_speedup)
+            print(f"wrote speedup curve to {path}")
+        return 0
+    if args.command == "balance":
+        from .core.balance import analyze_balance
+
+        print(analyze_balance(campaign).summary())
+        return 0
+    analysis = ScalTool(campaign).analyze()
+    if args.command == "validate":
+        print(validate_mp(analysis, campaign).summary())
+    elif args.command == "segments":
+        from .core.segments import analyze_segments, phase_names
+
+        groups = _named(_field("blame", "groups"), args.groups or [])
+        if not groups:
+            prefixes = sorted({name.split("_")[0] for name in phase_names(campaign)})
+            groups = {p: f"{p}*" for p in prefixes}
+        print(analyze_segments(analysis, campaign, groups).summary())
+    else:
+        from .core.sharing import analyze_sharing
+
+        sharing = analyze_sharing(analysis, campaign)
+        print(format_table(sharing.rows(), title="event-31 decomposition (Section 6 extension)"))
+        corrected = sharing.corrected_curves
+        rows = [
+            {
+                "n": n,
+                "Sync (raw)": analysis.curves.sync_cost[n],
+                "Sync (corrected)": corrected.sync_cost[n],
+                "Imb (raw)": analysis.curves.imb_cost[n],
+                "Imb (corrected)": corrected.imb_cost[n],
+            }
+            for n in analysis.curves.processor_counts
+        ]
+        print()
+        print(format_table(rows, title="sharing-corrected bottleneck costs"))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,10 @@ def run_action(
     analysis=None,
     to: list[int] | None = None,
 ) -> tuple[str, dict]:
-    """Execute one model-suite action; returns ``(output text, data dict)``."""
+    """Execute one model-suite action; returns ``(output text, data dict)``.
+
+    ``to`` lists the counts ``predict`` extrapolates to.
+    """
     from ..viz import render_model_fit, render_models_compare, render_models_predict
 
     if action == "fit":
@@ -37,7 +40,7 @@ def run_action(
         data = compare_models(dataset, analysis)
         return render_models_compare(data) + "\n", data
     if action == "predict":
-        data = predict_report(dataset, list(to or (32, 64, 128)), analysis)
+        data = predict_report(dataset, list(to), analysis)
         return render_models_predict(data) + "\n", data
     raise ServiceError(
         f"unknown models action {action!r}; expected one of {', '.join(ACTIONS)}"

@@ -47,13 +47,16 @@ _log = get_logger("runner.campaign")
 # Called after each completed run with (run_index_1_based, total_runs, record).
 ProgressCallback = Callable[[int, int, RunRecord], None]
 
+#: The paper's processor counts: 1 to 32, doubling.
+DEFAULT_COUNTS = (1, 2, 4, 8, 16, 32)
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
     """What to run."""
 
     s0: int
-    processor_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
+    processor_counts: tuple[int, ...] = DEFAULT_COUNTS
     min_fraction_bytes: int | None = None  # default: half the L1
     sync_kernel_barriers: int = 200
     spin_kernel_episodes: int = 20

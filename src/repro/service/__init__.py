@@ -6,9 +6,10 @@ inference-serving-shaped stack (queue -> planner -> batcher -> executor
 -> cache) that many concurrent clients can share:
 
 * :mod:`repro.service.requests` — the request model.  Every request kind
-  (``analyze`` / ``campaign`` / ``sweep`` / ``whatif`` / ``predict``)
-  compiles to the *same* code path the CLI runs, so a service result is
-  byte-identical to the corresponding ``scaltool`` invocation.
+  declares its payload fields in one table, from which the ``scaltool``
+  request verbs are built, and compiles to the *same* code path the CLI
+  runs, so a service result is byte-identical to the corresponding
+  ``scaltool`` invocation.
 * :mod:`repro.service.planner` — compiles a request to its
   :class:`~repro.runner.engine.RunSpec` set and deduplicates specs that
   are already cached on disk or in flight on behalf of another job,
@@ -36,9 +37,10 @@ inference-serving-shaped stack (queue -> planner -> batcher -> executor
   merged whole-system views.  A root whose shared files cannot be made
   starts every service degraded (503 on submit), at any worker count.
 
-Library use::
+Library use (import from the submodules; this package re-exports nothing,
+so a request never pays for the serving stack)::
 
-    from repro.service import AnalysisService, ServiceConfig
+    from repro.service.core import AnalysisService, ServiceConfig
 
     svc = AnalysisService(ServiceConfig(cache_dir=".scaltool_cache"))
     svc.start()
@@ -51,33 +53,3 @@ Every stage emits ``service.*`` spans and metrics through
 :mod:`repro.obs`; always-on integer tallies back the ``/v1/stats``
 endpoint even when no obs session is enabled.  See ``docs/service.md``.
 """
-
-from .client import ServiceClient
-from .core import AnalysisService, ServiceConfig
-from .dispatcher import Dispatcher
-from .http import ServiceServer
-from .planner import RequestPlan, RequestPlanner
-from .requests import REQUEST_KINDS, CompiledRequest, RequestResult, compile_request
-from .sharding import HashRing
-from .shared import IndexedRunCache, RunCacheIndex, SqliteClaimTable
-from .store import Job, JobStore
-
-__all__ = [
-    "AnalysisService",
-    "ServiceConfig",
-    "ServiceClient",
-    "ServiceServer",
-    "Dispatcher",
-    "HashRing",
-    "IndexedRunCache",
-    "RunCacheIndex",
-    "SqliteClaimTable",
-    "Job",
-    "JobStore",
-    "RequestPlan",
-    "RequestPlanner",
-    "REQUEST_KINDS",
-    "CompiledRequest",
-    "RequestResult",
-    "compile_request",
-]

@@ -37,11 +37,13 @@ Backpressure semantics: a full queue answers **429** and a draining
 service **503**, both with a ``Retry-After`` header carrying the
 service's advisory back-off — well-behaved clients (the bundled
 :class:`~repro.service.client.ServiceClient`) sleep and retry.  Invalid
-requests (unknown kind, bad payload, unknown workload) answer **400**
-with the validation error.  A service whose job store directory cannot
-be written (mis-mounted cache root, read-only disk) starts *degraded*:
-submits answer **503** with a structured JSON body instead of a bare
-connection failure, while health/metrics/read endpoints keep working.
+requests (unknown kind, a payload field the kind does not take, a bad
+value, unknown workload) answer **400** with the validation error, and
+an unexpected failure in a route answers **500**.  A service whose job
+store directory cannot be written (mis-mounted cache root, read-only
+disk) starts *degraded*: submits answer **503** with a structured JSON
+body instead of a bare connection failure, while health/metrics/read
+endpoints keep working.
 
 The server is a :class:`ThreadingHTTPServer`: request handling threads
 only validate and enqueue; all heavy work happens on the service's own
@@ -225,7 +227,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
     Subclasses implement ``_get(parts, query)`` and ``_post(parts,
     query)``; a :class:`~repro.errors.ReproError` they raise becomes the
     matching status (404, 503, 429 or 400) with an ``{"error": ...}``
-    body.
+    body, and any other exception a logged 500.
     """
 
     protocol_version = "HTTP/1.1"
@@ -267,6 +269,11 @@ class _JsonHandler(BaseHTTPRequestHandler):
             )
         except ReproError as exc:
             self._send(400, {"error": str(exc)})
+        except Exception as exc:
+            # A bug in a route answers 500 rather than dropping the
+            # connection, which a dispatcher would take for a dead worker.
+            _log.exception("unhandled error %s", kv(method=self.command, path=self.path))
+            self._send(500, {"error": f"internal error: {type(exc).__name__}: {exc}"})
 
     def _rejected(self) -> None:
         """Count a submit refused by backpressure or a degraded store."""

@@ -1,17 +1,24 @@
-"""The service request model: one class per request kind.
+"""The service request model: one class per request kind, one field table per kind.
 
 A request is ``(kind, payload)`` where ``payload`` is a JSON object.
-:func:`compile_request` validates the payload, resolves defaults (data
-set size, processor counts, ...) into a *canonical* payload, and returns
-a :class:`CompiledRequest` that can
+Each kind declares every payload field once, as a :class:`Field`: its
+name, default, parser, help and ``scaltool`` flag; the campaign-backed
+kinds share one group of fields, :data:`CAMPAIGN` (``workload``,
+``params``, ``s0``, ``counts``).  :func:`compile_request` rejects a field
+the kind does not declare, walks the table to resolve every default into
+a *canonical* payload, applies the few rules that span several fields,
+and returns a :class:`CompiledRequest` that can
 
 * enumerate the :class:`~repro.runner.engine.RunSpec` set the request
   needs (:meth:`CompiledRequest.specs`) — the planner's dedup unit, and
 * execute end-to-end (:meth:`CompiledRequest.execute`), producing a
   :class:`RequestResult` whose ``output`` is **byte-identical** to what
-  the corresponding ``scaltool`` CLI command prints: the CLI routes its
-  ``analyze`` / ``sweep`` / ``whatif`` / ``predict`` / ``blame``
-  subcommands through these same handlers.
+  the corresponding ``scaltool`` CLI command prints.
+
+The CLI is generated from the same tables (:data:`REQUEST_FIELDS`): the
+request verbs ``scaltool analyze`` / ``whatif`` / ``predict`` / ``sweep``
+/ ``blame`` / ``models`` and ``scaltool submit KIND`` take their
+arguments from them and run these handlers.
 
 The canonical payload also defines the request *fingerprint*
 (:meth:`CompiledRequest.fingerprint`), which the service uses as the job
@@ -24,13 +31,21 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
+from typing import Any, Callable
 
 from ..core import ScalTool, WhatIf
 from ..errors import ReproError, ServiceError
+from ..machine.counters import CounterSet
 from ..obs import lineage
-from ..runner.campaign import CampaignConfig, ProgressCallback, ScalToolCampaign
+from ..runner.campaign import (
+    DEFAULT_COUNTS,
+    CampaignConfig,
+    CampaignData,
+    ProgressCallback,
+    ScalToolCampaign,
+)
 from ..runner.cache import cached_campaign, campaign_cache_dir
 from ..runner.engine import Executor, RunCache, RunSpec, SerialExecutor
 from ..runner.experiment import default_machine_factory
@@ -39,15 +54,16 @@ from ..viz.tables import format_table
 from ..workloads import make_workload
 
 __all__ = [
+    "CAMPAIGN",
+    "DEFAULT_COUNTS",
+    "REQUEST_FIELDS",
     "REQUEST_KINDS",
+    "Field",
     "RequestResult",
     "CompiledRequest",
     "compile_request",
     "request_fingerprint",
 ]
-
-#: Campaign processor counts used when a request does not name any.
-DEFAULT_COUNTS = (1, 2, 4, 8, 16, 32)
 
 
 @dataclass
@@ -81,27 +97,73 @@ class RequestResult:
         )
 
 
-def _require_str(payload: dict, name: str) -> str:
-    value = payload.get(name)
+@dataclass(frozen=True)
+class Field:
+    """One payload field of a request kind, declared once.
+
+    ``parse(value, name)`` turns a payload value (JSON, or the text of a
+    CLI flag) into its canonical form, raising :class:`ServiceError` that
+    names the field, or returns None for "take the default".  An absent
+    or null field takes ``default``, parsed the same way.  The rest is
+    the field's ``scaltool`` spelling: ``flags`` are its option strings
+    (``()`` makes it positional, None keeps it off the CLI), ``action``
+    its argparse action (``"store"``, ``"store_true"`` or ``"append"``),
+    and ``item`` parses each VALUE of a repeatable ``NAME=VALUE`` flag
+    whose payload value is an object.
+    """
+
+    name: str
+    parse: Callable[[Any, str], Any]
+    default: Any = None
+    help: str = ""
+    flags: tuple[str, ...] | None = None
+    metavar: str | None = None
+    action: str = "store"
+    item: Callable[[str], Any] | None = None
+
+    def value(self, payload: dict) -> Any:
+        """This field's canonical value in ``payload``."""
+        raw = payload.get(self.name)
+        value = None if raw is None else self.parse(raw, self.name)
+        return self.parse(self.default, self.name) if value is None else value
+
+
+def _text(value, name: str) -> str:
     if not isinstance(value, str) or not value:
         raise ServiceError(f"request needs a non-empty string {name!r}")
     return value
 
 
-def _int_or_none(payload: dict, name: str) -> int | None:
-    value = payload.get(name)
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ServiceError(f"bad {name!r}: expected an object")
+    return dict(value)
+
+
+def _int(value, name: str) -> int | None:
+    """An integer; 0, like null, takes the default."""
     if value is None:
         return None
     try:
-        return int(value)
+        return int(value) or None
     except (TypeError, ValueError):
         raise ServiceError(f"bad {name!r}: {value!r} is not an integer") from None
 
 
-def _counts(payload: dict, name: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    value = payload.get(name)
+def _float(value, name: str) -> float | None:
     if value is None:
-        return default
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ServiceError(f"bad {name!r}: {value!r} is not a number") from None
+
+
+def _flag(value, name: str) -> bool:
+    return bool(value)
+
+
+def _counts(value, name: str) -> tuple[int, ...]:
     if isinstance(value, str):
         value = value.split(",")
     try:
@@ -113,23 +175,18 @@ def _counts(payload: dict, name: str, default: tuple[int, ...]) -> tuple[int, ..
     return counts
 
 
-def _float(payload: dict, name: str, default: float) -> float:
-    value = payload.get(name, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ServiceError(f"bad {name!r}: {value!r} is not a number") from None
+def _groups(value, name: str) -> dict:
+    groups = value or {}
+    if not isinstance(groups, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in groups.items()
+    ):
+        raise ServiceError(f"bad {name!r}: expected an object of name -> phase pattern")
+    # {} means "default prefix grouping", resolved against the campaign
+    # at execution time so the canonical payload stays data-independent.
+    return {k: groups[k] for k in sorted(groups)}
 
 
-def _params(payload: dict, name: str = "params") -> dict:
-    value = payload.get(name, {})
-    if not isinstance(value, dict):
-        raise ServiceError(f"bad {name!r}: expected an object")
-    return dict(value)
-
-
-def _axes(payload: dict, name: str) -> dict:
-    value = payload.get(name, {})
+def _axes(value, name: str) -> dict:
     if not isinstance(value, dict) or not all(
         isinstance(v, (list, tuple)) and v for v in value.values()
     ):
@@ -137,24 +194,91 @@ def _axes(payload: dict, name: str) -> dict:
     return {k: list(v) for k, v in value.items()}
 
 
+def _metrics(value, name: str) -> list[str] | None:
+    if not value:
+        return None
+    if not isinstance(value, (list, tuple)):
+        raise ServiceError(f"bad {name!r}: expected a non-empty list of counter names")
+    allowed = {f.name for f in dc_fields(CounterSet)} | {"cpi"}
+    bad = [m for m in value if m not in allowed]
+    if bad:
+        raise ServiceError(
+            f"unknown metric(s) {', '.join(bad)}; available: {', '.join(sorted(allowed))}"
+        )
+    return list(value)
+
+
+def _action(value, name: str) -> str:
+    from ..models.report import ACTIONS
+
+    if value not in ACTIONS:
+        raise ServiceError(f"bad {name!r}: {value!r}; expected one of {', '.join(ACTIONS)}")
+    return value
+
+
+def _dataset(value, name: str) -> dict | None:
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise ServiceError(f"bad {name!r}: expected a speedup-curve object")
+    from ..models import SpeedupDataset
+
+    # Round-trip for validation and canonical point order.
+    return SpeedupDataset.from_dict(value).to_dict()
+
+
+def _pattern(text: str) -> str:
+    return text.strip("'\"")
+
+
+def _scalar(text: str):
+    """An axis value: an int, else a float, else the bare string."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    return text
+
+
+def _axis_values(text: str) -> list:
+    return [_scalar(v) for v in text.split(",")]
+
+
+_WORKLOAD = Field("workload", _text, help="workload name (see `scaltool list`)", flags=())
+_PARAMS = Field("params", _object, {})
+
+#: The Table-3 campaign of ``workload``: the fields every campaign-backed kind shares.
+CAMPAIGN = (
+    _WORKLOAD,
+    _PARAMS,
+    Field("s0", _int, help="base data-set size in bytes", flags=("--s0",)),
+    Field("counts", _counts, DEFAULT_COUNTS, "processor counts, e.g. 1,2,4,8", flags=("--counts",)),
+)
+
+
 class CompiledRequest:
     """A validated request: canonical payload + plan + execution.
 
-    Subclasses set :attr:`kind` and implement :meth:`specs` and
-    :meth:`_execute`.  ``canonical`` is the payload with every default
-    resolved — two requests with the same canonical payload are the same
-    request (same fingerprint, same job).
+    Subclasses set :attr:`kind` and :attr:`fields` and implement
+    :meth:`specs` and :meth:`_execute`.  ``canonical`` is the payload with
+    every default resolved — two requests with the same canonical payload
+    are the same request (same fingerprint, same job).
     """
 
     kind: str = ""
+    #: Every payload field the kind takes, in canonical order.
+    fields: tuple[Field, ...] = ()
 
     def __init__(self, payload: dict) -> None:
+        self._run_cache: RunCache | None = None
         self.canonical = self._canonicalize(dict(payload or {}))
 
     # -- subclass hooks ---------------------------------------------------------
 
     def _canonicalize(self, payload: dict) -> dict:
-        raise NotImplementedError
+        """Every field's canonical value; a kind adds the rules that span fields."""
+        return {f.name: f.value(payload) for f in self.fields}
 
     def specs(self) -> list[RunSpec]:
         """Every engine run this request needs (the dedup/batch unit)."""
@@ -230,21 +354,21 @@ def _memoized_analysis(memo_key: str, campaign):
 
 
 class _CampaignBacked(CompiledRequest):
-    """Shared base for the request kinds that run the Table-3 campaign."""
+    """Shared base for the request kinds that run the Table-3 campaign.
 
-    def _canonical_campaign(self, payload: dict) -> dict:
-        workload_name = _require_str(payload, "workload")
-        params = _params(payload)
-        workload = make_workload(workload_name, **params)
-        s0 = _int_or_none(payload, "s0") or workload.default_size()
-        counts = _counts(payload, "counts", DEFAULT_COUNTS)
-        CampaignConfig(s0=s0, processor_counts=counts)  # validate eagerly
-        return {
-            "workload": workload_name,
-            "params": params,
-            "s0": s0,
-            "counts": list(counts),
-        }
+    A kind answers over the assembled campaign and its analysis
+    (:meth:`answer`), which is also how the CLI answers it over a saved
+    campaign directory.
+    """
+
+    fields = CAMPAIGN
+
+    def _canonicalize(self, payload: dict) -> dict:
+        out = super()._canonicalize(payload)
+        workload = make_workload(out["workload"], **out["params"])
+        out["s0"] = out["s0"] or workload.default_size()
+        CampaignConfig(s0=out["s0"], processor_counts=tuple(out["counts"]))  # validate eagerly
+        return out
 
     def _campaign_parts(self):
         c = self.canonical
@@ -258,7 +382,13 @@ class _CampaignBacked(CompiledRequest):
             workload, config, machine_factory=default_machine_factory()
         ).compile_plan()
 
-    def _campaign(self, cache_root, executor, progress):
+    def campaign(
+        self,
+        cache_root: str | Path | None = None,
+        executor: Executor | None = None,
+        progress: ProgressCallback | None = None,
+    ) -> CampaignData:
+        """The campaign's records, each run resolved through the run cache."""
         workload, config = self._campaign_parts()
         return cached_campaign(
             workload,
@@ -266,7 +396,7 @@ class _CampaignBacked(CompiledRequest):
             cache_dir=cache_root,
             progress=progress,
             executor=executor,
-            run_cache=getattr(self, "_run_cache", None),
+            run_cache=self._run_cache,
         )
 
     def _analysis(self, campaign, cache_root):
@@ -290,18 +420,24 @@ class _CampaignBacked(CompiledRequest):
         )
         return _memoized_analysis(memo_key, campaign)
 
+    def _execute(self, cache_root, executor, progress) -> RequestResult:
+        campaign = self.campaign(cache_root, executor, progress)
+        return self.answer(campaign, self._analysis(campaign, cache_root))
+
+    def answer(self, campaign: CampaignData, analysis) -> RequestResult:
+        """The result over an assembled ``campaign`` and its ScalTool ``analysis``."""
+        raise NotImplementedError
+
 
 class AnalyzeRequest(_CampaignBacked):
     kind = "analyze"
+    fields = CAMPAIGN + (
+        Field(
+            "markdown", _flag, False, "emit a markdown report", ("--markdown",), action="store_true"
+        ),
+    )
 
-    def _canonicalize(self, payload: dict) -> dict:
-        out = self._canonical_campaign(payload)
-        out["markdown"] = bool(payload.get("markdown", False))
-        return out
-
-    def _execute(self, cache_root, executor, progress) -> RequestResult:
-        campaign = self._campaign(cache_root, executor, progress)
-        analysis = self._analysis(campaign, cache_root)
+    def answer(self, campaign, analysis) -> RequestResult:
         if self.canonical["markdown"]:
             from ..core.report import export_markdown
 
@@ -325,11 +461,8 @@ class AnalyzeRequest(_CampaignBacked):
 class CampaignRequest(_CampaignBacked):
     kind = "campaign"
 
-    def _canonicalize(self, payload: dict) -> dict:
-        return self._canonical_campaign(payload)
-
     def _execute(self, cache_root, executor, progress) -> RequestResult:
-        campaign = self._campaign(cache_root, executor, progress)
+        campaign = self.campaign(cache_root, executor, progress)
         manifest = "".join(rec.to_json() + "\n" for rec in campaign.records)
         return RequestResult(
             output=manifest,
@@ -343,19 +476,18 @@ class CampaignRequest(_CampaignBacked):
 
 class WhatIfRequest(_CampaignBacked):
     kind = "whatif"
+    fields = (
+        CAMPAIGN
+        + tuple(
+            Field(name, _float, 1.0, f"scale factor for {name}", (f"--{name}",))
+            for name in ("t2", "tm", "tsyn", "cpi0")
+        )
+        # An L2 what-if (Eq. 10) replaces the factor what-if.
+        + (Field("l2", _float, help="L2 size factor k", flags=("--l2",)),)
+    )
 
-    def _canonicalize(self, payload: dict) -> dict:
-        out = self._canonical_campaign(payload)
-        for name in ("t2", "tm", "tsyn", "cpi0"):
-            out[name] = _float(payload, name, 1.0)
-        l2 = payload.get("l2")
-        out["l2"] = None if l2 is None else _float(payload, "l2", 1.0)
-        return out
-
-    def _execute(self, cache_root, executor, progress) -> RequestResult:
+    def answer(self, campaign, analysis) -> RequestResult:
         c = self.canonical
-        campaign = self._campaign(cache_root, executor, progress)
-        analysis = self._analysis(campaign, cache_root)
         whatif = WhatIf(analysis, campaign)
         if c["l2"] is not None:
             prediction = whatif.scale_l2(c["l2"])
@@ -377,17 +509,13 @@ class WhatIfRequest(_CampaignBacked):
 
 class PredictRequest(_CampaignBacked):
     kind = "predict"
+    fields = CAMPAIGN + (
+        Field("to", _counts, (48, 64, 128), "counts to predict, e.g. 64,128", ("--to",)),
+    )
 
-    def _canonicalize(self, payload: dict) -> dict:
-        out = self._canonical_campaign(payload)
-        out["to"] = list(_counts(payload, "to", (48, 64, 128)))
-        return out
-
-    def _execute(self, cache_root, executor, progress) -> RequestResult:
+    def answer(self, campaign, analysis) -> RequestResult:
         from ..core.prediction import ScalabilityPredictor
 
-        campaign = self._campaign(cache_root, executor, progress)
-        analysis = self._analysis(campaign, cache_root)
         predictor = ScalabilityPredictor(analysis)
         rows = predictor.rows(list(predictor.measured_counts) + list(self.canonical["to"]))
         output = (
@@ -405,25 +533,24 @@ class PredictRequest(_CampaignBacked):
 
 class BlameRequest(_CampaignBacked):
     kind = "blame"
+    fields = CAMPAIGN + (
+        Field(
+            "groups",
+            _groups,
+            {},
+            "segment definition, e.g. --group spmv='spmv_*' (repeatable); "
+            "default: one segment per phase-name prefix",
+            ("--group",),
+            metavar="NAME=PATTERN",
+            action="append",
+            item=_pattern,
+        ),
+    )
 
-    def _canonicalize(self, payload: dict) -> dict:
-        out = self._canonical_campaign(payload)
-        groups = payload.get("groups") or {}
-        if not isinstance(groups, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in groups.items()
-        ):
-            raise ServiceError("bad 'groups': expected an object of name -> phase pattern")
-        # {} means "default prefix grouping", resolved against the campaign
-        # at execution time so the canonical payload stays data-independent.
-        out["groups"] = {k: groups[k] for k in sorted(groups)}
-        return out
-
-    def _execute(self, cache_root, executor, progress) -> RequestResult:
+    def answer(self, campaign, analysis) -> RequestResult:
         from ..analysis import blame_campaign
         from ..viz import render_blame
 
-        campaign = self._campaign(cache_root, executor, progress)
-        analysis = self._analysis(campaign, cache_root)
         report = blame_campaign(
             analysis, campaign, groups=self.canonical["groups"] or None
         )
@@ -457,26 +584,39 @@ class ModelsRequest(_CampaignBacked):
     """
 
     kind = "models"
+    fields = (
+        Field(
+            "action",
+            _action,
+            "compare",
+            "fit: per-model coefficients; compare: cross-validate the suite; "
+            "predict: extrapolate with CI bands",
+            (),
+        ),
+        *CAMPAIGN,
+        Field("dataset", _dataset),
+        Field(
+            "to",
+            _counts,
+            (32, 64, 128),
+            "counts to extrapolate to (predict), e.g. 64,128",
+            ("--to",),
+        ),
+    )
 
     def _canonicalize(self, payload: dict) -> dict:
-        from ..models import ACTIONS, SpeedupDataset
-
-        action = payload.get("action", "compare")
-        if action not in ACTIONS:
-            raise ServiceError(
-                f"bad 'action': {action!r}; expected one of {', '.join(ACTIONS)}"
-            )
-        out: dict = {"action": action}
-        if payload.get("dataset") is not None:
-            dataset = payload["dataset"]
-            if not isinstance(dataset, dict):
-                raise ServiceError("bad 'dataset': expected a speedup-curve object")
-            # Round-trip for validation and canonical point order.
-            out["dataset"] = SpeedupDataset.from_dict(dataset).to_dict()
+        # A dataset replaces the campaign fields; ``to`` serves predict only.
+        if payload.get("dataset") is None:
+            out = super()._canonicalize(payload)
+            del out["dataset"]
         else:
-            out.update(self._canonical_campaign(payload))
-        if action == "predict":
-            out["to"] = list(_counts(payload, "to", (32, 64, 128)))
+            out = {
+                f.name: f.value(payload)
+                for f in self.fields
+                if f.name in ("action", "dataset", "to")
+            }
+        if out["action"] != "predict":
+            del out["to"]
         return out
 
     def specs(self) -> list[RunSpec]:
@@ -485,15 +625,17 @@ class ModelsRequest(_CampaignBacked):
         return super().specs()
 
     def _execute(self, cache_root, executor, progress) -> RequestResult:
+        if "dataset" in self.canonical:
+            return self.answer(None, None)
+        return super()._execute(cache_root, executor, progress)
+
+    def answer(self, campaign, analysis) -> RequestResult:
         from ..models import SpeedupDataset, run_action
 
         c = self.canonical
-        if "dataset" in c:
+        if campaign is None:
             dataset = SpeedupDataset.from_dict(c["dataset"])
-            analysis = None
         else:
-            campaign = self._campaign(cache_root, executor, progress)
-            analysis = self._analysis(campaign, cache_root)
             dataset = SpeedupDataset.from_campaign(campaign)
         output, data = run_action(c["action"], dataset, analysis, to=c.get("to"))
         return RequestResult(output=output, data=data)
@@ -501,35 +643,46 @@ class ModelsRequest(_CampaignBacked):
 
 class SweepRequest(CompiledRequest):
     kind = "sweep"
+    fields = (
+        _WORKLOAD,
+        _PARAMS,
+        Field("size", _int, help="data-set size in bytes", flags=("--size",)),
+        Field("n", _int, 8, "processor count", ("-n", "--processors")),
+        Field(
+            "workload_axes",
+            _axes,
+            {},
+            "workload constructor axis, e.g. --workload-axis halo_blocks=0,1,2 (repeatable)",
+            ("--workload-axis",),
+            metavar="NAME=V1,V2",
+            action="append",
+            item=_axis_values,
+        ),
+        Field(
+            "machine_axes",
+            _axes,
+            {},
+            "machine configuration axis, e.g. --machine-axis protocol=mesi,msi (repeatable)",
+            ("--machine-axis",),
+            metavar="NAME=V1,V2",
+            action="append",
+            item=_axis_values,
+        ),
+        Field(
+            "metrics",
+            _metrics,
+            ("cpi",),
+            "counter to tabulate per grid point (CounterSet field or 'cpi'; repeatable)",
+            ("--metric",),
+            metavar="NAME",
+            action="append",
+        ),
+    )
 
     def _canonicalize(self, payload: dict) -> dict:
-        from dataclasses import fields as dc_fields
-
-        from ..machine.counters import CounterSet
-
-        workload_name = _require_str(payload, "workload")
-        params = _params(payload)
-        workload = make_workload(workload_name, **params)
-        size = _int_or_none(payload, "size") or workload.default_size()
-        n = _int_or_none(payload, "n") or 8
-        metrics = payload.get("metrics") or ["cpi"]
-        if not isinstance(metrics, (list, tuple)) or not metrics:
-            raise ServiceError("bad 'metrics': expected a non-empty list of counter names")
-        allowed = {f.name for f in dc_fields(CounterSet)} | {"cpi"}
-        bad = [m for m in metrics if m not in allowed]
-        if bad:
-            raise ServiceError(
-                f"unknown metric(s) {', '.join(bad)}; available: {', '.join(sorted(allowed))}"
-            )
-        canonical = {
-            "workload": workload_name,
-            "params": params,
-            "size": size,
-            "n": n,
-            "workload_axes": _axes(payload, "workload_axes"),
-            "machine_axes": _axes(payload, "machine_axes"),
-            "metrics": list(metrics),
-        }
+        canonical = super()._canonicalize(payload)
+        workload = make_workload(canonical["workload"], **canonical["params"])
+        canonical["size"] = canonical["size"] or workload.default_size()
         # Build every axis value once, alone, so a bad one is rejected on
         # admission (naming the axis and value), not when the job runs.
         sweep = self._sweep(canonical)
@@ -572,7 +725,7 @@ class SweepRequest(CompiledRequest):
         rows = sweep.run(
             metrics,
             executor=executor,
-            cache=getattr(self, "_run_cache", None) or RunCache(Path(root) / "runs"),
+            cache=self._run_cache or RunCache(Path(root) / "runs"),
             on_outcome=_report,
         )
         output = (
@@ -597,13 +750,17 @@ _KIND_CLASSES = {
 #: The request kinds the service accepts.
 REQUEST_KINDS = tuple(sorted(_KIND_CLASSES))
 
+#: Each kind's field table, in the order the CLI takes the fields.
+REQUEST_FIELDS = {kind: _KIND_CLASSES[kind].fields for kind in REQUEST_KINDS}
+
 
 def compile_request(kind: str, payload: dict | None = None) -> CompiledRequest:
     """Validate ``(kind, payload)`` into an executable request.
 
-    Raises :class:`~repro.errors.ServiceError` for an unknown kind and
-    lets workload/config errors (all :class:`~repro.errors.ReproError`
-    subclasses) propagate — both map to HTTP 400 at the API layer.
+    Raises :class:`~repro.errors.ServiceError` for an unknown kind or a
+    field the kind does not declare, and lets workload/config errors (all
+    :class:`~repro.errors.ReproError` subclasses) propagate — all map to
+    HTTP 400 at the API layer.
     """
     cls = _KIND_CLASSES.get(kind)
     if cls is None:
@@ -612,6 +769,12 @@ def compile_request(kind: str, payload: dict | None = None) -> CompiledRequest:
         )
     if payload is not None and not isinstance(payload, dict):
         raise ServiceError(f"payload must be a JSON object, got {type(payload).__name__}")
+    declared = [f.name for f in cls.fields]
+    unknown = [name for name in payload or {} if name not in declared]
+    if unknown:
+        raise ServiceError(
+            f"unknown {kind} field {unknown[0]!r}; {kind} takes {', '.join(declared)}"
+        )
     return cls(payload or {})
 
 

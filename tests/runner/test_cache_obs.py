@@ -1,4 +1,4 @@
-"""Campaign cache observability: corrupt/empty manifests and progress hooks."""
+"""Campaign cache observability: corrupt/empty run entries and progress hooks."""
 
 import logging
 
@@ -36,12 +36,6 @@ def quick_config(**kw):
     )
     defaults.update(kw)
     return CampaignConfig(**defaults)
-
-
-def manifest_of(tmp_path):
-    manifests = list(tmp_path.glob("*.jsonl"))
-    assert len(manifests) == 1
-    return manifests[0]
 
 
 def run_entries_of(tmp_path):
@@ -89,22 +83,6 @@ class TestCorruptRunCache:
         assert s.registry.counter("engine.cache.corrupt") == 1.0
         warning = next(r for r in caplog.records if r.levelno == logging.WARNING)
         assert "re-running" in warning.getMessage()
-
-    def test_corrupt_manifest_is_harmless(self, tmp_path):
-        # The JSONL manifest is an export, not the cache: breaking it must
-        # not force a re-run, and it is rewritten on the next call.
-        wl, cfg = small_synthetic(), quick_config()
-        first = cached_campaign(wl, cfg, machine_factory=factory, cache_dir=tmp_path)
-        manifest = manifest_of(tmp_path)
-        manifest.write_text("this is { not json\n")
-        with obs.session() as s:
-            again = cached_campaign(wl, cfg, machine_factory=factory, cache_dir=tmp_path)
-        assert len(again.records) == len(first.records)
-        assert s.registry.counter("engine.runs") == 0.0
-        assert s.registry.counter("cache.hit") == 1.0
-        from repro.runner.records import load_records
-
-        assert len(load_records(manifest)) == len(first.records)
 
     def test_hit_and_miss_metrics(self, tmp_path):
         wl, cfg = small_synthetic(), quick_config()

@@ -140,13 +140,19 @@ class TestDiskCache:
         first = cached_campaign(wl, cfg, machine_factory=factory, cache_dir=tmp_path)
         second = cached_campaign(wl, cfg, machine_factory=factory, cache_dir=tmp_path)
         assert [r.counters for r in first.records] == [r.counters for r in second.records]
-        assert len(list(tmp_path.glob("*.jsonl"))) == 1
+        assert len(list((tmp_path / "runs").glob("*.json"))) == len(first.records)
+        assert not list(tmp_path.glob("*.jsonl"))  # the runs are the whole cache
 
     def test_different_params_different_cache(self, tmp_path):
         cfg = quick_config(processor_counts=(1,), run_kernels=False)
-        cached_campaign(small_synthetic(iters=1), cfg, machine_factory=factory, cache_dir=tmp_path)
-        cached_campaign(small_synthetic(iters=2), cfg, machine_factory=factory, cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("*.jsonl"))) == 2
+        one, two = (
+            cached_campaign(
+                small_synthetic(iters=i), cfg, machine_factory=factory, cache_dir=tmp_path
+            )
+            for i in (1, 2)
+        )
+        runs = len(list((tmp_path / "runs").glob("*.json")))
+        assert runs == len(one.records) + len(two.records)
 
     def test_refresh_forces_rerun(self, tmp_path):
         wl = small_synthetic()

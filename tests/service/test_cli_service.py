@@ -12,11 +12,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cli import main
 from repro.service.client import ServiceClient
 from repro.service.core import ServiceConfig
@@ -77,35 +82,84 @@ class TestCliVerbs:
         assert main(["result", "j" + "e" * 16, "--url", server.url]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_submit_arg_flag_builds_payload(self, server, warm_root, capsys):
-        rc = main(
-            [
-                "submit",
-                "whatif",
-                *WARM_ARGS,
-                "--arg",
-                "tm=0.5",
-                "--wait",
-                "--url",
-                server.url,
-            ]
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["analyze", *WARM_ARGS, "--markdown"], id="analyze"),
+            pytest.param(["whatif", *WARM_ARGS, "--tm", "0.5", "--t2", "0.25"], id="whatif"),
+            pytest.param(
+                ["predict", "synthetic", "--s0", str(WARM_S0), "--counts", "1,2,4", "--to", "8,16"],
+                id="predict",
+            ),
+            pytest.param(
+                [
+                    "sweep", "synthetic", "--size", "16384", "-n", "2",
+                    "--workload-axis", "sharing_frac=0.0,0.1",
+                    "--machine-axis", "protocol=mesi,msi", "--metric", "cycles",
+                ],
+                id="sweep",
+            ),
+            pytest.param(["blame", *WARM_ARGS, "--group", "work=work_*"], id="blame"),
+            pytest.param(
+                ["models", "predict", "synthetic", "--s0", str(WARM_S0), "--counts", "1,2,4,8",
+                 "--to", "16,32"],
+                id="models",
+            ),
+        ],
+    )
+    def test_submit_prints_what_the_verb_prints(self, server, warm_root, capsys, argv):
+        # `submit KIND` takes the verb's own arguments: one field table
+        # builds both, so both run the same request.
+        rc = main(["submit", *argv, "--wait", "--url", server.url])
         captured = capsys.readouterr()
-        assert rc == 0
-        direct = cli_stdout(
-            ["whatif", *WARM_ARGS, "--tm", "0.5", "--cache-dir", str(warm_root)]
-        )
-        assert captured.out == direct
+        assert rc == 0, captured.err
+        assert captured.out == cli_stdout([*argv, "--cache-dir", str(warm_root)])
 
     def test_submit_bad_arg_rejected(self, server, capsys):
-        rc = main(["submit", "whatif", "synthetic", "--arg", "oops", "--url", server.url])
-        assert rc == 1
-        assert "bad --arg" in capsys.readouterr().err
+        # A flag the kind does not take is a usage error, not a dropped field.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["submit", "whatif", "synthetic", "--to", "64", "--url", server.url])
+        assert exc_info.value.code == 2
+        assert "--to" in capsys.readouterr().err
 
     def test_unreachable_service_is_cli_error(self, capsys):
         rc = main(["status", "j" + "0" * 16, "--url", "http://127.0.0.1:9"])
         assert rc == 1
         assert "cannot reach" in capsys.readouterr().err
+
+
+#: Run in a fresh interpreter: what the CLI imports on its request path.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from repro.cli import build_parser, main
+
+def loaded(names):
+    return sorted(m for m in names if m in sys.modules)
+
+serving = ["asyncio", "sqlite3", "http.server", "repro.service.core"]
+build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["list"])
+listed = loaded(serving)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["whatif", *sys.argv[1:]])
+print(json.dumps({"list": listed, "whatif": loaded(serving[:3]), "rc": rc}))
+"""
+
+
+def test_request_path_imports_no_serving_stack(warm_root):
+    # `scaltool list` is the CLI's start-up time; a warm whatif runs a
+    # request inline.  Neither needs the service's event loop, claim
+    # table, HTTP server or job queue.
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *WARM_ARGS, "--tm", "0.5"]
+        + ["--cache-dir", str(warm_root)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"list": [], "whatif": [], "rc": 0}
 
 
 class TestBlameByteIdentity:

@@ -36,6 +36,7 @@ MALFORMED = [
         "/v1/jobs",
         b'{"kind": "analyze", "payload": {"workload": "synthetic"}, "priority": "high"}',
     ),
+    ("POST", "/v1/jobs", b'{"kind": "whatif", "payload": {"workload": "synthetic", "tmm": 0.5}}'),
 ]
 
 
@@ -88,3 +89,22 @@ def test_reused_forward_connection_takes_the_new_timeout(fronts):
     assert status == 200
     assert handle.client._local.conn is conn  # the same keep-alive connection
     assert conn.sock.gettimeout() == 0.5
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def test_unhandled_error_in_a_service_route_answers_500(fronts, monkeypatch):
+    # Not a dropped connection, which a dispatcher in front of this
+    # worker would take for a dead worker and re-send for its whole
+    # restart grace; a worker's 500 passes through the dispatcher as is.
+    monkeypatch.setattr(fronts["single"].service, "stats", _boom)
+    status, body = _call(fronts["single"].url, "GET", "/v1/stats", None)
+    assert status == 500 and "RuntimeError: boom" in body["error"]
+
+
+def test_unhandled_error_in_a_dispatcher_route_answers_500(fronts, monkeypatch):
+    monkeypatch.setattr(fronts["fleet"], "health", _boom)
+    status, body = _call(fronts["fleet"].url, "GET", "/healthz", None)
+    assert status == 500 and "RuntimeError: boom" in body["error"]

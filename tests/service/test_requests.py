@@ -39,6 +39,21 @@ class TestCompile:
         with pytest.raises(ServiceError, match="counts"):
             compile_request("analyze", {"workload": "synthetic", "counts": ["x"]})
 
+    @pytest.mark.parametrize(
+        "kind, payload, field",
+        [
+            ("whatif", {"workload": "synthetic", "tmm": 0.5}, "tmm"),
+            ("analyze", {"workload": "synthetic", "to": [64]}, "to"),
+            ("sweep", {"workload": "synthetic", "s0": 8192}, "s0"),
+        ],
+    )
+    def test_undeclared_field_rejected(self, kind, payload, field):
+        # A typo must not fall back to the default: the whatif above would
+        # otherwise run (and dedup onto) the identity what-if.
+        with pytest.raises(ServiceError, match=f"unknown {kind} field '{field}'") as exc_info:
+            compile_request(kind, payload)
+        assert "workload, params" in str(exc_info.value)  # lists the kind's fields
+
     def test_unknown_sweep_metric_rejected(self):
         with pytest.raises(ServiceError, match="unknown metric"):
             compile_request("sweep", {"workload": "synthetic", "metrics": ["tachyons"]})

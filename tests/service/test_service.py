@@ -52,8 +52,10 @@ class TestLifecycle:
 
     def test_job_runs_to_done(self, service, stub_requests):
         svc = service()
+        gate = stub_requests.gate("a")  # the job cannot finish before we look
         job, deduped = svc.submit("stub", {"name": "a"})
         assert not deduped and job.state in ("queued", "running")
+        gate.set()
         finished = svc.wait(job.id, timeout=10)
         assert finished.state == "done"
         assert finished.result["output"] == "stub:a\n"

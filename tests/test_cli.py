@@ -6,6 +6,103 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import runtime as obs_runtime
+from repro.service.client import ServiceClient
+from repro.service.requests import CompiledRequest, compile_request
+
+
+@pytest.fixture(autouse=True)
+def default_cache_root(tmp_path, monkeypatch):
+    """Commands given no --cache-dir cache their runs under the test's tmp_path."""
+    monkeypatch.setenv("SCALTOOL_CACHE_DIR", str(tmp_path / "default-cache"))
+
+
+#: Each request verb's argv -> the fingerprint of the request it runs, for
+#: the bare workload and with every payload flag given.  The literals were
+#: recorded before the verbs were generated from the request field tables;
+#: a verb that builds a different payload gets a different job id.
+VERB_FINGERPRINTS = [
+    pytest.param(["analyze", "synthetic"], "j787574a5e8977913", id="analyze"),
+    pytest.param(
+        ["analyze", "synthetic", "--s0", "163840", "--counts", "1,2", "--markdown"],
+        "j0a82b1c614fe231f",
+        id="analyze-flags",
+    ),
+    pytest.param(["whatif", "synthetic"], "jd2b0b60cd9842e3a", id="whatif"),
+    pytest.param(
+        [
+            "whatif", "synthetic", "--s0", "163840", "--counts", "1,2", "--t2", "0.5",
+            "--tm", "0.25", "--tsyn", "2", "--cpi0", "0.9", "--l2", "4",
+        ],
+        "j5fcbd00ad57116f9",
+        id="whatif-flags",
+    ),
+    pytest.param(["predict", "synthetic"], "j6e271a90b6272b95", id="predict"),
+    pytest.param(
+        ["predict", "synthetic", "--s0", "163840", "--counts", "1,2,4", "--to", "8,16"],
+        "j7d171607d35f0153",
+        id="predict-flags",
+    ),
+    pytest.param(["sweep", "synthetic"], "jf3639e1b0feb0b4d", id="sweep"),
+    pytest.param(
+        [
+            "sweep", "synthetic", "--size", "16384", "-n", "2",
+            "--workload-axis", "sharing_frac=0.0,0.1", "--machine-axis", "protocol=mesi,msi",
+            "--metric", "cycles", "--metric", "cpi",
+        ],
+        "jd926bce6547c1b1a",
+        id="sweep-flags",
+    ),
+    pytest.param(["blame", "synthetic"], "ja34c72bbaa434d27", id="blame"),
+    pytest.param(
+        [
+            "blame", "synthetic", "--s0", "163840", "--counts", "1,2",
+            "--group", "work=work_*", "--group", "sync=barrier*",
+        ],
+        "j41878b9df1d6c587",
+        id="blame-flags",
+    ),
+    pytest.param(["models", "compare", "synthetic"], "j2e624f1594089d92", id="models"),
+    pytest.param(
+        [
+            "models", "predict", "synthetic", "--s0", "163840", "--counts", "1,2,4,8",
+            "--to", "16,32",
+        ],
+        "j71a3d2171c88755f",
+        id="models-flags",
+    ),
+]
+
+
+class _Stop(Exception):
+    """Stops a command at the request it would run."""
+
+
+class TestVerbRequests:
+    @pytest.mark.parametrize("argv, fingerprint", VERB_FINGERPRINTS)
+    def test_verb_runs_the_pinned_request(self, argv, fingerprint, monkeypatch):
+        ran = []
+
+        def execute(self, *args, **kwargs):
+            ran.append(self.fingerprint())
+            raise _Stop
+
+        monkeypatch.setattr(CompiledRequest, "execute", execute)
+        with pytest.raises(_Stop):
+            main(argv)
+        assert ran == [fingerprint]
+
+    @pytest.mark.parametrize("argv, fingerprint", VERB_FINGERPRINTS)
+    def test_submit_sends_the_pinned_request(self, argv, fingerprint, monkeypatch):
+        sent = []
+
+        def submit(self, kind, payload, priority=None):
+            sent.append(compile_request(kind, payload).fingerprint())
+            raise _Stop
+
+        monkeypatch.setattr(ServiceClient, "submit", submit)
+        with pytest.raises(_Stop):
+            main(["submit", *argv])
+        assert sent == [fingerprint]
 
 
 class TestParser:
