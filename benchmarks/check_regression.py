@@ -11,7 +11,9 @@ metric regressed past the threshold (default 20%).
 
 Only *worse-is-higher* metrics are tracked (wall times, latencies, the
 enabled/disabled overhead ratio, per-segment residual fractions, the
-segment tiling error); getting faster never fails.  Counter metrics
+segment tiling error); getting faster never fails.  A baseline of 0
+compares absolutely: the row regresses when the fresh value exceeds 0 by
+more than the threshold.  Counter metrics
 (dedup ratio, spec counts) are workload-deterministic and asserted by
 the benches themselves, so they are not re-checked here.
 
@@ -114,20 +116,25 @@ def compare(
 ) -> list[dict]:
     """Per-metric comparison rows; ``regressed`` marks threshold breaches.
 
-    A metric missing on either side is reported (``status: missing``) but
+    A positive baseline compares relatively (``delta`` is the fractional
+    change).  A baseline of 0 has no relative change, so it compares
+    absolutely (``absolute: True``, ``delta`` is ``fresh - baseline``):
+    a models grade of 0 (ok) that comes back 2 (suspect) regresses.  A
+    metric missing on either side is reported (``status: missing``) but
     never fails the check — recorded baselines predate some metrics.
     """
     rows = []
     for label, path in metrics:
         base = _dig(baseline, path)
         new = _dig(fresh, path)
-        if base is None or new is None or base <= 0:
+        if base is None or new is None:
             rows.append(
                 {"metric": label, "baseline": base, "fresh": new,
                  "delta": None, "status": "missing", "regressed": False}
             )
             continue
-        delta = (new - base) / base
+        absolute = base <= 0
+        delta = new - base if absolute else (new - base) / base
         regressed = delta > threshold
         rows.append(
             {
@@ -135,6 +142,7 @@ def compare(
                 "baseline": base,
                 "fresh": new,
                 "delta": delta,
+                "absolute": absolute,
                 "status": "regressed" if regressed else "ok",
                 "regressed": regressed,
             }
@@ -148,9 +156,10 @@ def format_rows(title: str, rows: list[dict], threshold: float) -> str:
         if r["status"] == "missing":
             lines.append(f"  {r['metric']:.<46s} (not comparable)")
             continue
+        delta = f"{r['delta']:>+7.4f} abs" if r["absolute"] else f"{r['delta']:>+7.1%}"
         lines.append(
             f"  {r['metric']:.<46s} {r['baseline']:>9.4f} -> {r['fresh']:>9.4f}"
-            f"  {r['delta']:>+7.1%}  {'REGRESSED' if r['regressed'] else 'ok'}"
+            f"  {delta}  {'REGRESSED' if r['regressed'] else 'ok'}"
         )
     return "\n".join(lines)
 

@@ -538,7 +538,8 @@ def _load_stored_result(args) -> tuple[str, dict]:
     if args.url:
         from .service.client import ServiceClient
 
-        view = ServiceClient(args.url).result(target)
+        with ServiceClient(args.url) as client:
+            view = client.result(target)
         if view.get("state") != "done" or not view.get("result"):
             raise ReproError(f"job {target} is {view.get('state')!r}; no result to inspect")
         return f"job {view['id']}", view["result"]
@@ -636,7 +637,8 @@ def _target_result(args, target: str) -> RequestResult:
     if kind == "blame" and args.url:
         from .service.client import ServiceClient
 
-        view = ServiceClient(args.url).blame(target)
+        with ServiceClient(args.url) as client:
+            view = client.blame(target)
         return RequestResult(view["output"], {"report": view["report"]})
     raise ReproError(
         f"cannot resolve {kind} target {target!r}: not a workload name, a saved "
@@ -834,14 +836,16 @@ def _dispatch(args) -> int:
     if args.command == "submit":
         from .service.client import ServiceClient
 
-        client = ServiceClient(args.url)
-        submitted = client.submit(args.kind, _payload(args.kind, args), priority=args.priority)
-        dedup = " (deduplicated)" if submitted.get("deduped") else ""
-        print(f"job {submitted['id']} {submitted['state']}{dedup}", file=sys.stderr)
-        if not args.wait:
-            print(submitted["id"])
-            return 0
-        view = client.wait(submitted["id"], timeout=args.timeout)
+        with ServiceClient(args.url) as client:
+            submitted = client.submit(
+                args.kind, _payload(args.kind, args), priority=args.priority
+            )
+            dedup = " (deduplicated)" if submitted.get("deduped") else ""
+            print(f"job {submitted['id']} {submitted['state']}{dedup}", file=sys.stderr)
+            if not args.wait:
+                print(submitted["id"])
+                return 0
+            view = client.wait(submitted["id"], timeout=args.timeout)
         if view["state"] != "done":
             raise ReproError(f"job {view['id']} failed: {view.get('error')}")
         sys.stdout.write(view["result"]["output"])
@@ -850,17 +854,19 @@ def _dispatch(args) -> int:
     if args.command == "status":
         from .service.client import ServiceClient
 
-        print(json.dumps(ServiceClient(args.url).status(args.job_id), indent=2, sort_keys=True))
+        with ServiceClient(args.url) as client:
+            view = client.status(args.job_id)
+        print(json.dumps(view, indent=2, sort_keys=True))
         return 0
 
     if args.command == "result":
         from .service.client import ServiceClient
 
-        client = ServiceClient(args.url)
-        if args.wait:
-            view = client.wait(args.job_id, timeout=args.timeout)
-        else:
-            view = client.result(args.job_id)
+        with ServiceClient(args.url) as client:
+            if args.wait:
+                view = client.wait(args.job_id, timeout=args.timeout)
+            else:
+                view = client.result(args.job_id)
         if view["state"] == "failed":
             raise ReproError(f"job {view['id']} failed: {view.get('error')}")
         if view["state"] != "done":
@@ -941,7 +947,8 @@ def _dispatch(args) -> int:
             from .service.client import ServiceClient
             from .viz.trace_view import render_trace
 
-            view = ServiceClient(args.url).trace(args.job_id)
+            with ServiceClient(args.url) as client:
+                view = client.trace(args.job_id)
             if args.json:
                 print(json.dumps(view, indent=2, sort_keys=True))
                 return 0

@@ -10,7 +10,10 @@ the reproduction itself.  Three primitives:
   serves a session's local trace and a service request's distributed
   trace;
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, and
-  histograms in a name-keyed registry with deterministic snapshots;
+  histograms in a name-keyed registry with deterministic snapshots; the
+  one metrics store of a process, whether it backs a session or a
+  serving process's ``GET /metrics`` (rendered by
+  :func:`~repro.obs.telemetry.render_prometheus`);
 * **structured logs** (:mod:`repro.obs.logs`) — stdlib logging under the
   single ``repro`` namespace.
 
@@ -52,7 +55,7 @@ from .runtime import (
     session,
     tracer,
 )
-from .telemetry import Telemetry, render_prometheus
+from .telemetry import render_prometheus
 from .trace import TraceBuffer, TraceContext, TraceHandle, TraceSpan
 
 __all__ = [
@@ -70,7 +73,6 @@ __all__ = [
     "ProfileResult",
     "SampleProfile",
     "Sampler",
-    "Telemetry",
     "TraceBuffer",
     "TraceContext",
     "TraceHandle",

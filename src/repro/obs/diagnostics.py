@@ -203,14 +203,9 @@ class AnalysisDiagnostics:
     def from_dict(cls, d: dict) -> "AnalysisDiagnostics":
         return cls(checks=[FitDiagnostics.from_dict(c) for c in d.get("checks", [])])
 
-    def publish(self, registry, telemetry=None) -> None:
-        """Export ``diagnostics.*`` gauges to a metrics registry.
-
-        ``registry`` is any object with ``set_gauge(name, value)`` (the
-        obs session registry); ``telemetry`` additionally receives the
-        labelled ``diagnostics.health{grade=...}`` gauge family used by
-        the service ``/metrics`` endpoint.
-        """
+    def publish(self, registry) -> None:
+        """Export ``diagnostics.*`` gauges to a metrics registry (any
+        object with ``set_gauge(name, value)``, e.g. the obs session's)."""
         registry.set_gauge("diagnostics.health", float(grade_score(self.health)))
         for grade in GRADES:
             count = sum(1 for c in self.checks if c.grade == grade)
@@ -223,18 +218,6 @@ class AnalysisDiagnostics:
                 registry.set_gauge(
                     "diagnostics.fit.condition_number", fit.condition_number
                 )
-        if telemetry is not None:
-            for grade in GRADES:
-                telemetry.set_gauge(
-                    "diagnostics.health",
-                    1.0 if grade == self.health else 0.0,
-                    grade=grade,
-                )
-            for c in self.checks:
-                if c.r_squared is not None:
-                    telemetry.set_gauge(
-                        "diagnostics.r_squared", c.r_squared, check=c.name
-                    )
 
 
 # -- the rule table -----------------------------------------------------------

@@ -1,12 +1,15 @@
 """Metrics: counters, gauges, and histograms with deterministic export.
 
-The registry is a plain name-keyed store.  Names are dotted, lowercase,
-``component.thing`` style (see ``docs/observability.md`` for the scheme
-used across the package).  Snapshots are deterministic: names sort
-lexicographically and histogram summaries carry a fixed key set, so two
-sessions that observed the same values export identical structures
-(wall-clock only ever appears in *values* of ``*_seconds`` metrics,
-never in names or key order).
+The registry is a name-keyed store, and the one metrics store of a
+process: an obs session holds one, and so does each serving process
+(:class:`~repro.service.core.AnalysisService`, the dispatcher), which
+renders it as ``GET /metrics`` (:mod:`repro.obs.telemetry`).  Names are
+dotted, lowercase, ``component.thing`` style (see
+``docs/observability.md`` for the scheme used across the package).
+Snapshots are deterministic: names sort lexicographically and histogram
+summaries carry a fixed key set, so two sessions that observed the same
+values export identical structures (wall-clock only ever appears in
+*values* of ``*_seconds`` metrics, never in names or key order).
 
 :data:`NOOP_REGISTRY` is the disabled fast path — method calls that do
 nothing — mirroring the tracer's no-op singleton.
@@ -15,6 +18,7 @@ nothing — mirroring the tracer's no-op singleton.
 from __future__ import annotations
 
 import math
+import threading
 
 __all__ = [
     "Histogram",
@@ -190,16 +194,33 @@ class BucketHistogram:
         }
 
 
-class MetricsRegistry:
-    """Name-keyed counters, gauges, and histograms.
+def _series_name(name: str, labels: dict) -> str:
+    """``name{key="value",...}``: one labelled series in Prometheus sample
+    syntax, labels sorted."""
+    body = ",".join(f'{key}="{value}"' for key, value in sorted(labels.items()))
+    return f"{name}{{{body}}}"
 
-    ``histogram_factory`` picks the distribution type: the exact
-    :class:`Histogram` (default — bounded profiling sessions) or
-    :class:`BucketHistogram` (always-on serving telemetry).
+
+class MetricsRegistry:
+    """Name-keyed counters, gauges, and histograms; safe to write from any thread.
+
+    ``histogram_factory`` picks the distribution type, by the owner's
+    needs: the exact :class:`Histogram` (default — a bounded profiling
+    session) or :class:`BucketHistogram` (an always-on server, whose
+    memory must not grow with traffic).  One lock guards every write and
+    every whole-registry read (snapshot, dump, exposition): a serving
+    process writes from HTTP handler, job and batch threads at once, and
+    ``+=`` on a dict entry is not atomic.
+
+    A gauge may carry labels: ``set_gauge("blame.loss_share", 0.6,
+    segment="spmv")`` stores the series ``blame.loss_share{segment="spmv"}``
+    (:func:`_series_name`), so snapshots, dumps and the exposition all
+    see one name per series.
     """
 
     def __init__(self, histogram_factory=Histogram) -> None:
         self._histogram_factory = histogram_factory
+        self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -208,18 +229,23 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: float = 1.0) -> None:
         """Increment a monotonic counter."""
-        self._counters[name] = self._counters.get(name, 0.0) + value
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0.0) + value
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set a point-in-time value (last write wins)."""
-        self._gauges[name] = float(value)
+    def set_gauge(self, name: str, value: float, **labels: str) -> None:
+        """Set a point-in-time value (last write wins); keyword arguments
+        are the series' labels."""
+        key = _series_name(name, labels) if labels else name
+        with self._lock:
+            self._gauges[key] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Add one observation to a histogram."""
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = self._histogram_factory()
-        hist.observe(value)
+        with self._lock:
+            hist = self._histograms.get(name)
+            if hist is None:
+                hist = self._histograms[name] = self._histogram_factory()
+            hist.observe(value)
 
     def merge_dump(self, dump: dict) -> None:
         """Fold another registry's :meth:`dump` in (worker spool merge).
@@ -242,32 +268,36 @@ class MetricsRegistry:
         observation lists, so a parent can rebuild exact distributions.
         Only exact :class:`Histogram` instances can be dumped.
         """
-        return {
-            "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
-            "histograms": {
-                k: self._histograms[k].values() for k in sorted(self._histograms)
-            },
-        }
+        with self._lock:
+            return {
+                "counters": {k: self._counters[k] for k in sorted(self._counters)},
+                "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
+                "histograms": {
+                    k: self._histograms[k].values() for k in sorted(self._histograms)
+                },
+            }
 
     # -- reads ------------------------------------------------------------------
 
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0.0)
 
-    def gauge(self, name: str) -> float | None:
-        return self._gauges.get(name)
+    def gauge(self, name: str, **labels: str) -> float | None:
+        return self._gauges.get(_series_name(name, labels) if labels else name)
 
     def histogram(self, name: str) -> Histogram | None:
         return self._histograms.get(name)
 
     def snapshot(self) -> dict:
         """Deterministic nested dict: names sorted, fixed histogram keys."""
-        return {
-            "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
-            "histograms": {k: self._histograms[k].summary() for k in sorted(self._histograms)},
-        }
+        with self._lock:
+            return {
+                "counters": {k: self._counters[k] for k in sorted(self._counters)},
+                "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
+                "histograms": {
+                    k: self._histograms[k].summary() for k in sorted(self._histograms)
+                },
+            }
 
 
 class NoopRegistry:
@@ -278,7 +308,7 @@ class NoopRegistry:
     def inc(self, name: str, value: float = 1.0) -> None:
         return None
 
-    def set_gauge(self, name: str, value: float) -> None:
+    def set_gauge(self, name: str, value: float, **labels: str) -> None:
         return None
 
     def observe(self, name: str, value: float) -> None:
@@ -287,7 +317,7 @@ class NoopRegistry:
     def counter(self, name: str) -> float:
         return 0.0
 
-    def gauge(self, name: str) -> None:
+    def gauge(self, name: str, **labels: str) -> None:
         return None
 
     def histogram(self, name: str) -> None:

@@ -1,32 +1,30 @@
-"""Always-on serving telemetry: bounded metrics + Prometheus exposition.
+"""The Prometheus text exposition (0.0.4) of a metrics registry.
 
-Profiling sessions (:mod:`repro.obs.runtime`) are bounded windows that
-store exact histograms; a serving process needs the opposite trade —
-*always on*, bounded memory, scrape-friendly.  :class:`Telemetry` wraps
-a :class:`~repro.obs.metrics.MetricsRegistry` built on
+A serving process keeps its always-on metrics in one
+:class:`~repro.obs.metrics.MetricsRegistry` built on
 :class:`~repro.obs.metrics.BucketHistogram` (fixed log-spaced buckets,
-estimated quantiles) and renders the Prometheus text exposition format
-(version 0.0.4) for ``GET /metrics``:
+estimated quantiles, bounded memory); this module renders it for
+``GET /metrics``:
 
 * counters  -> ``scaltool_<name>_total``   (``# TYPE ... counter``)
-* gauges    -> ``scaltool_<name>``         (``# TYPE ... gauge``)
+* gauges    -> ``scaltool_<name>``         (``# TYPE ... gauge``), a
+  labelled series as ``scaltool_<name>{key="value"}``
 * histograms-> cumulative ``_bucket{le=...}`` series + ``_sum``/``_count``
 
-Metric names keep the package's dotted scheme internally and are
-sanitised to the Prometheus grammar on export (dots and dashes become
-underscores, everything prefixed ``scaltool_``).
+and merges several processes' renderings into one fleet view
+(:func:`merge_prometheus`).  Metric names keep the package's dotted
+scheme internally and are sanitised to the Prometheus grammar on export
+(dots and dashes become underscores, everything prefixed ``scaltool_``).
 """
 
 from __future__ import annotations
 
 import math
 import re
-import time
-from typing import Callable
 
 from .metrics import BucketHistogram, MetricsRegistry
 
-__all__ = ["Telemetry", "prometheus_name", "render_prometheus", "merge_prometheus"]
+__all__ = ["CONTENT_TYPE", "prometheus_name", "render_prometheus", "merge_prometheus"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -52,35 +50,48 @@ def _fmt(value: float) -> str:
 def render_prometheus(registry: MetricsRegistry, prefix: str = "scaltool") -> str:
     """The registry as Prometheus text exposition (deterministic order)."""
     lines: list[str] = []
-    counters = registry._counters
-    gauges = registry._gauges
-    histograms = registry._histograms
-    for name in sorted(counters):
-        metric = prometheus_name(name, prefix)
-        if not metric.endswith("_total"):
-            metric += "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_fmt(counters[name])}")
-    for name in sorted(gauges):
-        metric = prometheus_name(name, prefix)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_fmt(gauges[name])}")
-    for name in sorted(histograms):
-        hist = histograms[name]
-        metric = prometheus_name(name, prefix)
-        lines.append(f"# TYPE {metric} histogram")
-        if isinstance(hist, BucketHistogram):
-            for le, cumulative in hist.cumulative():
-                lines.append(f'{metric}_bucket{{le="{_fmt(le)}"}} {cumulative}')
-        else:  # exact histogram: a single +Inf bucket is still valid exposition
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
-        lines.append(f"{metric}_sum {_fmt(hist.sum)}")
-        lines.append(f"{metric}_count {hist.count}")
+    with registry._lock:
+        counters = registry._counters
+        gauges = registry._gauges
+        histograms = registry._histograms
+        for name in sorted(counters):
+            metric = prometheus_name(name, prefix)
+            if not metric.endswith("_total"):
+                metric += "_total"
+            lines.append(f"# TYPE {metric} counter")
+            lines.append(f"{metric} {_fmt(counters[name])}")
+        typed: set[str] = set()
+        # A labelled series is `name{labels}`: sort by name first so each
+        # family's series render as one group under one `# TYPE` line.
+        for series in sorted(gauges, key=lambda key: (key.partition("{")[0], key)):
+            name, brace, labels = series.partition("{")
+            metric = prometheus_name(name, prefix)
+            if metric not in typed:
+                typed.add(metric)
+                lines.append(f"# TYPE {metric} gauge")
+            lines.append(f"{metric}{brace}{labels} {_fmt(gauges[series])}")
+        for name in sorted(histograms):
+            hist = histograms[name]
+            metric = prometheus_name(name, prefix)
+            lines.append(f"# TYPE {metric} histogram")
+            if isinstance(hist, BucketHistogram):
+                for le, cumulative in hist.cumulative():
+                    lines.append(f'{metric}_bucket{{le="{_fmt(le)}"}} {cumulative}')
+            else:  # exact histogram: a single +Inf bucket is still valid exposition
+                lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
+            lines.append(f"{metric}_sum {_fmt(hist.sum)}")
+            lines.append(f"{metric}_count {hist.count}")
     return "\n".join(lines) + "\n"
 
 
-#: Gauges where "whole system" means the max over processes, not the sum.
-_MAX_GAUGES = ("scaltool_uptime_seconds",)
+#: Gauges where "whole system" means the max over processes, not the sum:
+#: uptime, and the ratios, which do not add across processes (a sampler's
+#: overhead ratio, a segment's share of lost cycles).
+_MAX_GAUGES = (
+    "scaltool_uptime_seconds",
+    "scaltool_profile_overhead_ratio",
+    "scaltool_blame_loss_share",
+)
 
 
 def merge_prometheus(texts: list[str]) -> str:
@@ -90,22 +101,16 @@ def merge_prometheus(texts: list[str]) -> str:
     serves the merge: counters and histogram series (same name + same
     labels) add, gauges add too — queue depths and per-grade health
     counts are extensive quantities — except :data:`_MAX_GAUGES`
-    (uptime), which take the max.  ``# TYPE`` / ``# HELP`` lines are
-    kept once, from the first exposition that declares them.  Sample
-    order follows first appearance, so merged output is deterministic
+    (uptime and the ratios), which take the max.  ``# TYPE`` lines are
+    kept once, from the first exposition that declares them.  Each
+    family's samples stay one group, as the format requires, even when a
+    later process adds a series (a new label value) to it; families and
+    samples follow first appearance, so merged output is deterministic
     given deterministic inputs.
     """
     types: dict[str, str] = {}
-    meta_lines: dict[str, list[str]] = {}
     values: dict[str, float] = {}
-    order: list[str] = []
-
-    def _parse(value: str) -> float:
-        if value == "+Inf":
-            return math.inf
-        if value == "-Inf":
-            return -math.inf
-        return float(value)
+    groups: dict[str, list[str]] = {}  # family -> its samples
 
     for text in texts:
         for line in text.splitlines():
@@ -114,38 +119,31 @@ def merge_prometheus(texts: list[str]) -> str:
                 continue
             if line.startswith("#"):
                 parts = line.split(None, 3)
-                if len(parts) >= 4 and parts[1] in ("TYPE", "HELP"):
-                    metric = parts[2]
-                    if parts[1] == "TYPE":
-                        types.setdefault(metric, parts[3])
-                    meta_lines.setdefault(metric, []).append(line)
+                if len(parts) >= 4 and parts[1] == "TYPE":
+                    types.setdefault(parts[2], parts[3])
                 continue
             sample, _, raw_value = line.rpartition(" ")
             if not sample:
                 continue
             try:
-                value = _parse(raw_value)
+                value = float(raw_value)  # parses "+Inf" / "-Inf" too
             except ValueError:
                 continue
             bare = sample.partition("{")[0]
             family = _family(bare, types)
             if sample not in values:
                 values[sample] = value
-                order.append(sample)
+                groups.setdefault(family, []).append(sample)
             elif types.get(family) == "gauge" and family in _MAX_GAUGES:
                 values[sample] = max(values[sample], value)
             else:
                 values[sample] += value
 
     lines: list[str] = []
-    declared: set[str] = set()
-    for sample in order:
-        family = _family(sample.partition("{")[0], types)
-        if family not in declared:
-            declared.add(family)
-            if family in types:
-                lines.append(f"# TYPE {family} {types[family]}")
-        lines.append(f"{sample} {_fmt(values[sample])}")
+    for family, samples in groups.items():
+        if family in types:
+            lines.append(f"# TYPE {family} {types[family]}")
+        lines.extend(f"{sample} {_fmt(values[sample])}" for sample in samples)
     return "\n".join(lines) + "\n" if lines else "\n"
 
 
@@ -161,57 +159,3 @@ def _family(bare_name: str, types: dict[str, str]) -> str:
             if types.get(stem) == "histogram":
                 return stem
     return bare_name
-
-
-class Telemetry:
-    """One serving process's always-on metrics (bounded, scrapeable)."""
-
-    def __init__(self, clock: Callable[[], float] = time.time) -> None:
-        self._clock = clock
-        self.started = clock()
-        self.registry = MetricsRegistry(histogram_factory=BucketHistogram)
-        # Labelled gauges live beside the registry: the name sanitiser would
-        # mangle `{key="value"}` suffixes, so they render separately.
-        self._labeled_gauges: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
-
-    # -- writes (mirror the registry surface) -------------------------------------
-
-    def inc(self, name: str, value: float = 1.0) -> None:
-        self.registry.inc(name, value)
-
-    def set_gauge(self, name: str, value: float, **labels: str) -> None:
-        """Set a gauge; keyword arguments become Prometheus labels
-        (e.g. ``set_gauge("diagnostics.health", 1, grade="suspect")`` renders
-        ``scaltool_diagnostics_health{grade="suspect"} 1``)."""
-        if labels:
-            key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-            self._labeled_gauges[key] = float(value)
-        else:
-            self.registry.set_gauge(name, value)
-
-    def observe(self, name: str, value: float) -> None:
-        self.registry.observe(name, value)
-
-    # -- reads --------------------------------------------------------------------
-
-    def uptime_seconds(self) -> float:
-        return max(0.0, self._clock() - self.started)
-
-    def snapshot(self) -> dict:
-        return self.registry.snapshot()
-
-    def prometheus_text(self) -> str:
-        self.registry.set_gauge("uptime_seconds", self.uptime_seconds())
-        text = render_prometheus(self.registry)
-        if self._labeled_gauges:
-            lines: list[str] = []
-            typed: set[str] = set()
-            for (name, labels), value in sorted(self._labeled_gauges.items()):
-                metric = prometheus_name(name)
-                if metric not in typed:
-                    typed.add(metric)
-                    lines.append(f"# TYPE {metric} gauge")
-                label_text = ",".join(f'{k}="{v}"' for k, v in labels)
-                lines.append(f"{metric}{{{label_text}}} {_fmt(value)}")
-            text += "\n".join(lines) + "\n"
-        return text

@@ -322,3 +322,9 @@ class ServiceClient:
     def close(self) -> None:
         """Drop this thread's keep-alive connection (others close on GC)."""
         self._drop_connection()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

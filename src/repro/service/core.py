@@ -65,7 +65,8 @@ from ..errors import (
 from ..obs import diagnostics
 from ..obs import runtime as obs
 from ..obs.logs import get_logger, kv
-from ..obs.telemetry import Telemetry
+from ..obs.metrics import BucketHistogram, MetricsRegistry
+from ..obs.telemetry import render_prometheus
 from ..obs.trace import TraceBuffer, TraceContext, TraceHandle, attach, new_span_id, retarget
 from ..runner.engine import (
     TRANSIENT_EXCEPTIONS,
@@ -170,10 +171,9 @@ class _SpecBatcher:
                     if spec.key() not in seen:
                         seen.add(spec.key())
                         specs.append(spec)
-            svc._tally("batches")
-            svc._tally("batch.specs", len(specs))
-            obs.registry().observe("service.batch.size", len(specs))
-            svc.telemetry.observe("service.batch.size", len(specs))
+            svc._tally("service.batches")
+            svc._tally("service.batch.specs", len(specs))
+            svc._observe("service.batch.size", len(specs))
             # The batch is shared across jobs, so it records under a private
             # trace; afterwards the spans are copied into every traced
             # participant's tree (re-rooted under its waiting span).
@@ -242,13 +242,15 @@ class AnalysisService:
             self.planner = RequestPlanner(self.run_cache, claims)
         self.executor = default_executor(self.config.jobs)
         self.traces = TraceBuffer()
-        self.telemetry = Telemetry()
+        # The one metrics store behind /metrics, /v1/stats and /healthz:
+        # always on, so its histograms are bucketed (bounded memory).
+        self.metrics = MetricsRegistry(histogram_factory=BucketHistogram)
+        self.started_at = time.time()
 
         self._lock = threading.Lock()
         self._done_cv = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
         self._enqueued_at: dict[str, float] = {}  # job id -> wall time of enqueue
-        self._counters: collections.Counter = collections.Counter()
         self._seq = itertools.count()
         self._draining = False
         self._started = False
@@ -283,7 +285,7 @@ class AnalysisService:
         else:
             # The service stays up for read-only endpoints (health, metrics,
             # stored results if any); submits are refused with a clear error.
-            self._tally("store.degraded")
+            self._tally("service.store.degraded")
             _log.warning("job store is not writable %s", kv(reason=self.degraded))
         _log.debug(
             "service started %s",
@@ -319,7 +321,7 @@ class AnalysisService:
                     self.store.put(job)
                     requeue.append(job)
         for job in requeue:
-            self._tally("jobs.recovered")
+            self._tally("service.jobs.recovered")
             self._enqueue(job)
         if requeue:
             _log.debug("recovered %d interrupted job(s)", len(requeue))
@@ -408,7 +410,7 @@ class AnalysisService:
         if not self._started:
             raise ServiceError("service is not started")
         if self.degraded is not None:
-            self._tally("admission.rejected")
+            self._tally("service.admission.rejected")
             raise StoreUnavailableError(f"job store is not writable: {self.degraded}")
         request = _requests.compile_request(kind, payload)
         job_id = request.fingerprint()
@@ -422,7 +424,7 @@ class AnalysisService:
         with self._lock:
             existing = self._jobs.get(job_id)
             if existing is not None and existing.state != "failed":
-                self._tally_locked("jobs.deduped")
+                self._tally("service.jobs.deduped")
                 return existing, True
             if self._draining:
                 raise QueueFullError(
@@ -432,7 +434,7 @@ class AnalysisService:
                 )
             active = sum(1 for j in self._jobs.values() if j.state in ACTIVE_STATES)
             if active >= self.config.max_queue:
-                self._tally_locked("admission.rejected")
+                self._tally("service.admission.rejected")
                 raise QueueFullError(
                     f"job queue is full ({active}/{self.config.max_queue})",
                     retry_after=self.config.retry_after,
@@ -452,7 +454,7 @@ class AnalysisService:
                 job.trace_span = new_span_id()
             self._jobs[job.id] = job
             self.store.put(job)
-            self._tally_locked("jobs.submitted")
+            self._tally("service.jobs.submitted")
         self._enqueue(job)
         return job, False
 
@@ -522,8 +524,12 @@ class AnalysisService:
         """Always-on service tallies plus current queue occupancy."""
         with self._lock:
             states = collections.Counter(j.state for j in self._jobs.values())
-            counters = dict(self._counters)
             draining = self._draining
+        counters = {
+            name.removeprefix("service."): int(value)
+            for name, value in self.metrics.snapshot()["counters"].items()
+            if name.startswith("service.")
+        }
         executed = counters.get("batch.specs", 0)
         planned = counters.get("plan.specs", 0)
         return {
@@ -579,8 +585,7 @@ class AnalysisService:
 
         seconds = max(0.05, min(float(seconds), 30.0))
         interval = max(0.001, min(float(interval), 1.0))
-        self.telemetry.inc("profile.requests")
-        obs.registry().inc("profile.requests")
+        self._tally("profile.requests")
         with obs.tracer().span("profile.sample", seconds=seconds):
             sampler = Sampler(interval_s=interval, all_threads=True)
             sampler.start()
@@ -589,8 +594,8 @@ class AnalysisService:
             finally:
                 profile = sampler.stop()
         ratio = profile.overhead_ratio()
-        self.telemetry.set_gauge("profile.overhead_ratio", ratio)
-        self.telemetry.set_gauge("profile.samples", float(profile.n_samples))
+        self._gauge("profile.overhead_ratio", ratio)
+        self._gauge("profile.samples", float(profile.n_samples))
         return {
             "seconds": seconds,
             "interval_s": interval,
@@ -618,7 +623,7 @@ class AnalysisService:
             "jobs": {state: states.get(state, 0) for state in ("queued", "running", "done", "failed")},
             "queue_depth": queued,
             "inflight": running,
-            "uptime_seconds": round(self.telemetry.uptime_seconds(), 3),
+            "uptime_seconds": round(self.uptime_seconds(), 3),
             "store": {
                 "writable": self.degraded is None,
                 "error": self.degraded,
@@ -641,8 +646,7 @@ class AnalysisService:
         asyncio.run_coroutine_threadsafe(
             self._queue.put((job.priority, seq, job.id)), self._loop
         ).result(timeout=5)
-        obs.registry().set_gauge("service.queue.depth", self._queue.qsize())
-        self.telemetry.set_gauge("service.queue.depth", self._queue.qsize())
+        self._gauge("service.queue.depth", self._queue.qsize())
 
     async def _worker(self) -> None:
         assert self._queue is not None
@@ -663,8 +667,7 @@ class AnalysisService:
                     self.store.put(job)
                 if enqueued_at is not None:
                     wait = max(0.0, job.started - enqueued_at)
-                    obs.registry().observe("service.queue.wait_seconds", wait)
-                    self.telemetry.observe("service.queue.wait_seconds", wait)
+                    self._observe("service.queue.wait_seconds", wait)
                     if job.trace_id and job.trace_span:
                         self.traces.emit(
                             "service.queue.wait",
@@ -736,15 +739,13 @@ class AnalysisService:
             job.error = error
             job.finished = finished
             self.store.put(job)
-            self._tally_locked("jobs.done" if state == "done" else "jobs.failed")
+            self._tally("service.jobs.done" if state == "done" else "service.jobs.failed")
             self._done_cv.notify_all()
         if result is not None:
             self._publish_health(result.get("data", {}).get("health"))
-        obs.registry().observe("service.job_seconds", seconds)
-        obs.registry().set_gauge("service.queue.depth", self._queue.qsize() if self._queue else 0)
-        self.telemetry.observe("service.job_seconds", seconds)
-        self.telemetry.observe("service.e2e_seconds", max(0.0, job.finished - job.created))
-        self.telemetry.set_gauge("service.queue.depth", self._queue.qsize() if self._queue else 0)
+        self._observe("service.job_seconds", seconds)
+        self._observe("service.e2e_seconds", max(0.0, job.finished - job.created))
+        self._gauge("service.queue.depth", self._queue.qsize() if self._queue else 0)
         _log.debug(
             "job finished %s",
             kv(job=job.id, kind=job.kind, state=state, seconds=f"{seconds:.3f}", error=error),
@@ -759,14 +760,12 @@ class AnalysisService:
         """
         if not health:
             return
-        self._tally(f"jobs.health.{health}")
+        # Under the service lock, so concurrent finishes publish in tally order.
         with self._lock:
-            counts = {
-                grade: self._counters.get(f"jobs.health.{grade}", 0)
-                for grade in diagnostics.GRADES
-            }
-        for grade, count in counts.items():
-            self.telemetry.set_gauge("diagnostics.health", float(count), grade=grade)
+            self._tally(f"service.jobs.health.{health}")
+            for grade in diagnostics.GRADES:
+                count = self.metrics.counter(f"service.jobs.health.{grade}")
+                self._gauge("diagnostics.health", count, grade=grade)
 
     def lineage(self, job_id: str) -> dict:
         """A finished job's result lineage (``GET /v1/jobs/<id>/lineage``).
@@ -838,16 +837,16 @@ class AnalysisService:
             report = derived.data["report"]
             output = derived.output
             result_lineage = derived.lineage
-            self._tally("blame.derived")
+            self._tally("service.blame.derived")
         if not report:
             raise ServiceError(f"job {job_id} result carries no blame report")
         for vertex in report.get("vertices", []):
-            self.telemetry.set_gauge(
+            self._gauge(
                 "blame.loss_share",
                 float(vertex["cycle_loss_share"]),
                 segment=vertex["vertex"],
             )
-        self._tally("blame.requests")
+        self._tally("service.blame.requests")
         spans = self.store.get_timeline(job_id) or []
         wall = wall_by_count(spans)
         return {
@@ -883,7 +882,7 @@ class AnalysisService:
                     job.attempts += 1
                     self.store.put(job)
                 if attempt:
-                    self._tally("jobs.retries")
+                    self._tally("service.jobs.retries")
                     _log.warning(
                         "retrying job %s",
                         kv(job=job.id, attempt=attempt + 1, max=self.config.retries + 1),
@@ -901,9 +900,10 @@ class AnalysisService:
     ) -> _requests.RequestResult:
         plan = self.planner.plan(request)
         claimed_keys = {spec.key() for spec in plan.claimed}
-        self._tally("plan.specs", len(plan.specs))
-        self._tally("plan.cache_hits", plan.cache_hits)
-        self._tally("plan.inflight_waits", len(plan.waiting))
+        self._tally("service.plan.specs", len(plan.specs))
+        self._tally("service.plan.cache_hits", plan.cache_hits)
+        self._tally("service.plan.claimed", len(plan.claimed))
+        self._tally("service.plan.inflight_waits", len(plan.waiting))
         if plan.claimed:
             assert self._loop is not None and self._batcher is not None
             with tracer.span("service.batch.wait", claimed=len(plan.claimed)) as wait_span:
@@ -926,7 +926,7 @@ class AnalysisService:
                         except FuturesTimeoutError:
                             self.planner.heartbeat(plan)
                 except Exception as exc:  # noqa: BLE001 - assembly below retries serially
-                    self._tally("batch.failures")
+                    self._tally("service.batch.failures")
                     _log.warning("spec batch failed %s", kv(reason=exc))
                 finally:
                     self.planner.complete(plan)
@@ -966,13 +966,29 @@ class AnalysisService:
                 )
         else:
             self.executor.run(specs, cache=self.run_cache)
-        self.telemetry.observe("engine.batch_seconds", time.perf_counter() - t0)
+        self._observe("engine.batch_seconds", time.perf_counter() - t0)
 
-    def _tally(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._tally_locked(name, value)
+    # -- metrics ----------------------------------------------------------------------
+    # Each event is recorded by one call, into this service's registry and, when
+    # one is live, the obs session.
 
-    def _tally_locked(self, name: str, value: int = 1) -> None:
-        self._counters[name] += value
-        obs.registry().inc(f"service.{name}", value)
-        self.telemetry.inc(f"service.{name}", value)
+    def _tally(self, name: str, value: float = 1) -> None:
+        self.metrics.inc(name, value)
+        obs.registry().inc(name, value)
+
+    def _gauge(self, name: str, value: float, **labels: str) -> None:
+        self.metrics.set_gauge(name, value, **labels)
+        obs.registry().set_gauge(name, value, **labels)
+
+    def _observe(self, name: str, value: float) -> None:
+        self.metrics.observe(name, value)
+        obs.registry().observe(name, value)
+
+    def uptime_seconds(self) -> float:
+        return max(0.0, time.time() - self.started_at)
+
+    def prometheus_text(self) -> str:
+        """``GET /metrics``: this service's registry as Prometheus text."""
+        # Uptime is read, not an event: it goes to the registry alone.
+        self.metrics.set_gauge("uptime_seconds", self.uptime_seconds())
+        return render_prometheus(self.metrics)

@@ -59,6 +59,7 @@ from urllib.parse import urlencode
 from ..errors import ReproError, ServiceError
 from ..obs import telemetry as _telemetry
 from ..obs.logs import get_logger, kv
+from ..obs.metrics import MetricsRegistry
 from ..runner.engine import default_cache_root
 from . import requests as _requests
 from .client import ServiceClient
@@ -140,7 +141,10 @@ class Dispatcher(_HTTPFront):
         self.started_at = time.time()
         self._stopping = False
         self._lock = threading.Lock()
-        self._counters: dict[str, int] = {}
+        # The dispatcher's own metrics (worker restarts, forward retries,
+        # merged profiles); /metrics adds them to the workers' merge.
+        self.metrics = MetricsRegistry()
+        self.metrics.set_gauge("dispatcher.workers", worker_count)
         self._supervisor: threading.Thread | None = None
         super().__init__(_DispatchHandler, host, port)
         # Made once the port is bound, so a failed bind leaves nothing behind.
@@ -224,7 +228,7 @@ class Dispatcher(_HTTPFront):
             raise ServiceError(f"worker {handle.shard} did not report a port in time")
         handle.restarts += 1
         if handle.restarts:
-            self._tally("workers.restarted")
+            self.metrics.inc("dispatcher.workers.restarted")
         _log.debug(
             "worker spawned %s",
             kv(shard=handle.shard, pid=handle.pid, port=handle.port, restarts=handle.restarts),
@@ -244,7 +248,7 @@ class Dispatcher(_HTTPFront):
                         "worker died; restarting %s",
                         kv(shard=handle.shard, code=handle.proc.returncode),
                     )
-                    self._tally("workers.died")
+                    self.metrics.inc("dispatcher.workers.died")
                     try:
                         self._spawn(handle)
                     except ServiceError as exc:  # pragma: no cover - respawn loop
@@ -253,10 +257,6 @@ class Dispatcher(_HTTPFront):
                         )
                         time.sleep(1.0)
             time.sleep(SUPERVISE_INTERVAL)
-
-    def _tally(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
 
     # -- routing ----------------------------------------------------------------
 
@@ -291,7 +291,7 @@ class Dispatcher(_HTTPFront):
                 return client._raw(method, path, data=body, headers=headers, timeout=timeout)
             except ServiceError as exc:
                 last = exc
-                self._tally("forward.retries")
+                self.metrics.inc("dispatcher.forward.retries")
                 time.sleep(0.05)
         raise ServiceError(
             f"worker {handle.shard} unreachable past restart grace: {last}"
@@ -354,23 +354,13 @@ class Dispatcher(_HTTPFront):
         }
         return (503 if status == "degraded" else 200), body
 
-    def metrics(self) -> str:
+    def prometheus_text(self) -> str:
+        """``GET /metrics``: the workers' expositions merged, plus the dispatcher's own."""
         answers = self.fan_out("GET", "/metrics", timeout=10.0)
         texts = [payload.decode() for _, status, payload in answers if status == 200]
-        merged = _telemetry.merge_prometheus(texts)
-        with self._lock:
-            counters = dict(self._counters)
-        extra = [
-            "# TYPE scaltool_dispatcher_workers gauge",
-            f"scaltool_dispatcher_workers {self.worker_count}",
-            "# TYPE scaltool_dispatcher_workers_alive gauge",
-            f"scaltool_dispatcher_workers_alive {sum(1 for h in self.workers if h.alive)}",
-        ]
-        for name in sorted(counters):
-            metric = _telemetry.prometheus_name(f"dispatcher.{name}") + "_total"
-            extra.append(f"# TYPE {metric} counter")
-            extra.append(f"{metric} {counters[name]}")
-        return merged + "\n".join(extra) + "\n"
+        alive = sum(1 for h in self.workers if h.alive)
+        self.metrics.set_gauge("dispatcher.workers_alive", alive)
+        return _telemetry.merge_prometheus(texts + [_telemetry.render_prometheus(self.metrics)])
 
     def stats(self) -> dict:
         answers = self.fan_out("GET", "/v1/stats", timeout=10.0)
@@ -384,8 +374,10 @@ class Dispatcher(_HTTPFront):
                 jobs[state] = jobs.get(state, 0) + count
         executed = counters.get("batch.specs", 0)
         planned = counters.get("plan.specs", 0)
-        with self._lock:
-            own = dict(self._counters)
+        own = {
+            name.removeprefix("dispatcher."): int(value)
+            for name, value in self.metrics.snapshot()["counters"].items()
+        }
         return {
             "draining": any(v.get("draining") for v in views),
             "jobs": jobs,
@@ -437,7 +429,7 @@ class Dispatcher(_HTTPFront):
                 }
             )
         workers.sort(key=lambda w: (w["shard"] is None, w["shard"]))
-        self._tally("profile.requests")
+        self.metrics.inc("dispatcher.profile.requests")
         return {
             "seconds": seconds,
             "interval_s": interval_s,
@@ -524,7 +516,7 @@ class _DispatchHandler(_JsonHandler):
             status, body = self.dispatcher.health()
             self._send(status, body)
         elif parts == ["metrics"]:
-            text = self.dispatcher.metrics()
+            text = self.dispatcher.prometheus_text()
             self._send_bytes(200, text.encode(), _telemetry.CONTENT_TYPE)
         elif parts == ["v1", "stats"]:
             self._send(200, self.dispatcher.stats())

@@ -67,7 +67,6 @@ from ..errors import (
     ReproError,
     StoreUnavailableError,
 )
-from ..obs import runtime as obs
 from ..obs import telemetry as _telemetry
 from ..obs.logs import get_logger, kv
 from ..obs.trace import (
@@ -314,13 +313,11 @@ class _Handler(_JsonHandler):
         return self.front.service
 
     def _route(self, handler) -> None:
-        obs.registry().inc("service.http.requests")
-        self.service.telemetry.inc("service.http.requests")
+        self.service._tally("service.http.requests")
         super()._route(handler)
 
     def _rejected(self) -> None:
-        obs.registry().inc("service.http.rejected")
-        self.service.telemetry.inc("service.http.rejected")
+        self.service._tally("service.http.rejected")
 
     def _send(self, status: int, body: dict, headers: dict | None = None) -> None:
         shard = {"X-Scaltool-Shard": str(self.service.config.shard_index)}
@@ -331,7 +328,7 @@ class _Handler(_JsonHandler):
             health = self.service.health()
             self._send(503 if health["status"] == "degraded" else 200, health)
         elif parts == ["metrics"]:
-            text = self.service.telemetry.prometheus_text()
+            text = self.service.prometheus_text()
             self._send_bytes(200, text.encode(), _telemetry.CONTENT_TYPE)
         elif parts == ["v1", "stats"]:
             self._send(200, self.service.stats())

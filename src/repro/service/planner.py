@@ -66,7 +66,7 @@ class RequestPlanner:
         self.claims = claims
 
     def plan(self, request: CompiledRequest) -> RequestPlan:
-        reg = obs.registry()
+        """Resolve the request's specs (the caller tallies the outcome)."""
         with obs.tracer().span("service.plan", kind=request.kind) as span:
             unique: dict[str, RunSpec] = {}
             for spec in request.specs():
@@ -87,10 +87,6 @@ class RequestPlanner:
                 claimed=len(plan.claimed),
                 waiting=len(waiting),
             )
-        reg.inc("service.plan.specs", len(unique))
-        reg.inc("service.plan.cache_hits", plan.cache_hits)
-        reg.inc("service.plan.claimed", len(plan.claimed))
-        reg.inc("service.plan.inflight_waits", len(waiting))
         return plan
 
     def complete(self, plan: RequestPlan) -> None:

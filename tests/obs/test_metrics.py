@@ -1,5 +1,8 @@
 """Metrics registry: counters, gauges, histogram percentiles, snapshots."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs.metrics import NOOP_REGISTRY, Histogram, MetricsRegistry
@@ -19,6 +22,45 @@ class TestCountersAndGauges:
         reg.set_gauge("g", 7.0)
         assert reg.gauge("g") == 7.0
         assert reg.gauge("missing") is None
+
+    def test_labelled_gauges_are_one_series_per_label_set(self):
+        reg = MetricsRegistry()
+        reg.set_gauge("health", 1.0, grade="ok")
+        reg.set_gauge("health", 4.0, grade="suspect")
+        reg.set_gauge("health", 2.0, grade="ok")
+        assert reg.gauge("health", grade="ok") == 2.0
+        assert reg.gauge("health", grade="suspect") == 4.0
+        assert reg.gauge("health") is None
+        assert list(reg.snapshot()["gauges"]) == ['health{grade="ok"}', 'health{grade="suspect"}']
+
+
+class TestConcurrentWrites:
+    THREADS = 4
+    PER_THREAD = 50_000
+
+    def test_no_increment_is_lost_under_preemption(self):
+        """HTTP handler, job and batch threads write one serving registry at
+        once; a 1 µs switch interval preempts them mid read-modify-write."""
+        reg = MetricsRegistry()
+        start = threading.Barrier(self.THREADS)
+
+        def hammer():
+            start.wait()
+            for _ in range(self.PER_THREAD):
+                reg.inc("requests")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(self.THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert reg.counter("requests") == self.THREADS * self.PER_THREAD
 
 
 class TestHistogram:

@@ -1,4 +1,4 @@
-"""Tests for BucketHistogram and the Prometheus exposition renderer."""
+"""Tests for BucketHistogram and the Prometheus exposition: render and fleet merge."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import re
 import pytest
 
 from repro.obs.metrics import DEFAULT_BUCKETS, BucketHistogram, MetricsRegistry
-from repro.obs.telemetry import Telemetry, prometheus_name, render_prometheus
+from repro.obs.telemetry import merge_prometheus, prometheus_name, render_prometheus
 
 
 # -- BucketHistogram ------------------------------------------------------------
@@ -137,19 +137,74 @@ def test_render_prometheus_exact_histogram_still_valid():
     assert "scaltool_h_count 1" in text
 
 
-# -- Telemetry ------------------------------------------------------------------
+def test_render_prometheus_groups_labelled_gauges_under_one_type_line():
+    reg = MetricsRegistry(histogram_factory=BucketHistogram)
+    reg.set_gauge("diagnostics.health", 2, grade="ok")
+    reg.set_gauge("diagnostics.health", 1, grade="suspect")
+    reg.set_gauge("blame.loss_share", 0.25, segment="vector steps")
+    reg.set_gauge("queue.depth", 3)
+    text = render_prometheus(reg)
+    lines = text.splitlines()
+    assert lines.count("# TYPE scaltool_diagnostics_health gauge") == 1
+    at = lines.index("# TYPE scaltool_diagnostics_health gauge")
+    assert lines[at + 1 : at + 3] == [
+        'scaltool_diagnostics_health{grade="ok"} 2',
+        'scaltool_diagnostics_health{grade="suspect"} 1',
+    ]
+    assert 'scaltool_blame_loss_share{segment="vector steps"} 0.25' in lines
+    assert "scaltool_queue_depth 3" in lines
 
 
-def test_telemetry_uptime_and_text():
-    now = [100.0]
-    t = Telemetry(clock=lambda: now[0])
-    now[0] = 107.5
-    t.inc("http.requests")
-    t.observe("service.job_seconds", 0.25)
-    text = t.prometheus_text()
-    assert "scaltool_uptime_seconds 7.5" in text
-    assert "scaltool_http_requests_total 1" in text
-    assert "scaltool_service_job_seconds_bucket" in text
-    assert t.uptime_seconds() == pytest.approx(7.5)
-    snap = t.snapshot()
-    assert snap["counters"]["http.requests"] == 1
+# -- fleet merge ----------------------------------------------------------------
+
+
+def _worker_text(overhead: float, share: float, uptime: float, segment: str) -> str:
+    reg = MetricsRegistry(histogram_factory=BucketHistogram)
+    reg.inc("service.jobs.done", 2)
+    reg.observe("service.job_seconds", 0.003)
+    reg.set_gauge("service.queue.depth", 1)
+    reg.set_gauge("diagnostics.health", 3, grade="ok")
+    reg.set_gauge("profile.overhead_ratio", overhead)
+    reg.set_gauge("blame.loss_share", share, segment="spmv")
+    reg.set_gauge("blame.loss_share", 0.1, segment=segment)
+    reg.set_gauge("uptime_seconds", uptime)
+    return render_prometheus(reg)
+
+
+def _samples(text: str) -> dict[str, float]:
+    out = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            sample, _, value = line.rpartition(" ")
+            out[sample] = float(value)
+    return out
+
+
+def test_merge_prometheus_adds_extensive_series_and_maxes_ratios():
+    merged = merge_prometheus(
+        [_worker_text(1.05, 0.6, 10.0, "init"), _worker_text(1.07, 0.6, 12.5, "halo")]
+    )
+    samples = _samples(merged)
+    # Counters and histogram series add.
+    assert samples["scaltool_service_jobs_done_total"] == 4
+    assert samples['scaltool_service_job_seconds_bucket{le="0.005"}'] == 2
+    assert samples['scaltool_service_job_seconds_bucket{le="+Inf"}'] == 2
+    assert samples["scaltool_service_job_seconds_count"] == 2
+    assert samples["scaltool_service_job_seconds_sum"] == pytest.approx(0.006)
+    # Queue depths and per-grade health counts are extensive: they add.
+    assert samples["scaltool_service_queue_depth"] == 2
+    assert samples['scaltool_diagnostics_health{grade="ok"}'] == 6
+    # Ratios and uptime take the max over processes.
+    assert samples["scaltool_profile_overhead_ratio"] == pytest.approx(1.07)
+    assert samples['scaltool_blame_loss_share{segment="spmv"}'] == pytest.approx(0.6)
+    assert samples["scaltool_uptime_seconds"] == 12.5
+    # Each family is declared once and its samples stay one group, even
+    # the series only the second process has.
+    assert merged.count("# TYPE scaltool_service_job_seconds histogram") == 1
+    lines = merged.splitlines()
+    at = lines.index("# TYPE scaltool_blame_loss_share gauge")
+    assert lines[at + 1 : at + 4] == [
+        'scaltool_blame_loss_share{segment="init"} 0.1',
+        'scaltool_blame_loss_share{segment="spmv"} 0.6',
+        'scaltool_blame_loss_share{segment="halo"} 0.1',
+    ]

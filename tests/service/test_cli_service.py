@@ -184,19 +184,19 @@ class TestByteIdentityProperty:
         tsyn=st.sampled_from([0.5, 1.0]),
     )
     def test_whatif_identical_over_http(self, server, warm_root, t2, tm, tsyn):
-        client = ServiceClient(server.url, timeout=30)
-        submitted = client.submit(
-            "whatif",
-            {
-                "workload": "synthetic",
-                "s0": WARM_S0,
-                "counts": list(WARM_COUNTS),
-                "t2": t2,
-                "tm": tm,
-                "tsyn": tsyn,
-            },
-        )
-        view = client.wait(submitted["id"], timeout=120)
+        with ServiceClient(server.url, timeout=30) as client:
+            submitted = client.submit(
+                "whatif",
+                {
+                    "workload": "synthetic",
+                    "s0": WARM_S0,
+                    "counts": list(WARM_COUNTS),
+                    "t2": t2,
+                    "tm": tm,
+                    "tsyn": tsyn,
+                },
+            )
+            view = client.wait(submitted["id"], timeout=120)
         assert view["state"] == "done", view.get("error")
         direct = cli_stdout(
             [
@@ -221,17 +221,17 @@ class TestByteIdentityProperty:
     )
     @given(markdown=st.booleans())
     def test_analyze_identical_over_http(self, server, warm_root, markdown):
-        client = ServiceClient(server.url, timeout=30)
-        submitted = client.submit(
-            "analyze",
-            {
-                "workload": "synthetic",
-                "s0": WARM_S0,
-                "counts": list(WARM_COUNTS),
-                "markdown": markdown,
-            },
-        )
-        view = client.wait(submitted["id"], timeout=120)
+        with ServiceClient(server.url, timeout=30) as client:
+            submitted = client.submit(
+                "analyze",
+                {
+                    "workload": "synthetic",
+                    "s0": WARM_S0,
+                    "counts": list(WARM_COUNTS),
+                    "markdown": markdown,
+                },
+            )
+            view = client.wait(submitted["id"], timeout=120)
         assert view["state"] == "done", view.get("error")
         argv = ["analyze", *WARM_ARGS, "--cache-dir", str(warm_root)]
         if markdown:

@@ -139,6 +139,19 @@ class TestCrashRecovery:
             # The supervisor replaced the shard, same slot, new process.
             assert home.alive and home.pid != first_pid
             assert home.restarts >= 1
+            # The fleet's /metrics merges the workers' expositions with the
+            # dispatcher's own registry, which counted the restart.
+            samples = dict(
+                line.rsplit(" ", 1)
+                for line in client.metrics().splitlines()
+                if not line.startswith("#")
+            )
+            assert samples["scaltool_dispatcher_workers"] == "2"
+            assert samples["scaltool_dispatcher_workers_alive"] == "2"
+            restarted = client.stats()["dispatcher"]["counters"]["workers.restarted"]
+            assert restarted == home.restarts
+            assert samples["scaltool_dispatcher_workers_restarted_total"] == str(restarted)
+            assert float(samples["scaltool_service_jobs_done_total"]) >= 1
         finally:
             client.close()
             disp.shutdown()

@@ -4,6 +4,8 @@
 Jobs run concurrently on the job pool, so the session's spans must nest
 per thread — each job's ``engine.run`` under its own ``service.job`` —
 and traced jobs must reach the session as well as their own timelines.
+Each service event is counted once, so the session, ``/v1/stats`` and
+``/metrics`` read the same count.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 from repro import obs
 from repro.obs import manifest_records
 from repro.obs.trace import TraceContext
+from repro.service.client import ServiceClient
 from repro.service.core import AnalysisService, ServiceConfig
+from repro.service.http import ServiceServer
 
 from .conftest import WARM_PAYLOAD
 
@@ -77,3 +81,31 @@ def test_traced_job_tree_reaches_the_session(warm_root):
     assert runs and all(
         r["path"].startswith("service.job/service.attempt/service.assemble/") for r in runs
     )
+
+
+def test_plan_tallies_agree_in_the_session_stats_and_metrics(warm_root):
+    session = obs.enable()
+    try:
+        server = ServiceServer(
+            ServiceConfig(cache_dir=warm_root, workers=1, batch_window=0.0)
+        ).start()
+        try:
+            with ServiceClient(server.url, timeout=60) as client:
+                for tm in (0.15, 0.25, 0.35):
+                    job = client.submit("whatif", {**WARM_PAYLOAD, "tm": tm})
+                    assert client.wait(job["id"], timeout=120)["state"] == "done"
+                stats = client.stats()["counters"]
+                exposition = dict(
+                    line.rsplit(" ", 1)
+                    for line in client.metrics().splitlines()
+                    if not line.startswith("#")
+                )
+        finally:
+            server.shutdown(drain_timeout=60)
+    finally:
+        obs.disable()
+
+    assert stats["plan.specs"] > 0
+    for name in ("plan.specs", "plan.cache_hits"):
+        on_metrics = float(exposition[f"scaltool_service_{name.replace('.', '_')}_total"])
+        assert session.registry.counter(f"service.{name}") == stats[name] == on_metrics

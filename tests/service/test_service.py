@@ -5,6 +5,8 @@ fixture (no simulator); the end-to-end tests at the bottom run real
 requests over the shared warm cache.
 """
 
+import re
+
 import pytest
 
 from repro.errors import QueueFullError, ServiceError
@@ -78,6 +80,19 @@ class TestLifecycle:
         loop = svc._loop
         svc.close(drain=True, timeout=5)
         assert loop.is_closed()
+
+    def test_metrics_text_carries_uptime_and_recorded_events(self, service):
+        svc = service()
+        svc.started_at -= 7.5
+        svc._tally("service.http.requests")
+        svc._observe("service.job_seconds", 0.25)
+        text = svc.prometheus_text()
+        uptime = float(re.search(r"^scaltool_uptime_seconds (\S+)$", text, re.M).group(1))
+        assert 7.5 <= uptime < 600
+        assert 7.5 <= svc.health()["uptime_seconds"] < 600
+        assert "scaltool_service_http_requests_total 1" in text.splitlines()
+        assert 'scaltool_service_job_seconds_bucket{le="0.25"} 1' in text.splitlines()
+        assert svc.stats()["counters"] == {"http.requests": 1}
 
 
 class TestDedup:

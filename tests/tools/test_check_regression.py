@@ -45,9 +45,21 @@ def test_compare_missing_metric_is_reported_not_failed():
     assert by_metric["obs enabled/disabled ratio"]["status"] == "ok"
 
 
-def test_compare_zero_baseline_is_not_comparable():
-    rows = compare({"ratio": 0.0}, {"ratio": 1.0}, [("r", ("ratio",))], 0.2)
-    assert rows[0]["status"] == "missing"
+@pytest.mark.parametrize(
+    "fresh, regressed",
+    [(0.0, False), (0.15, False), (2.0, True)],
+    ids=["still-zero", "within-threshold", "ok-to-suspect"],
+)
+def test_compare_zero_baseline_compares_absolutely(fresh, regressed):
+    metrics = [("models agreement_grade_score", ("agreement_grade_score",))]
+    rows = compare({"agreement_grade_score": 0}, {"agreement_grade_score": fresh}, metrics, 0.2)
+    assert rows[0]["absolute"] is True
+    assert rows[0]["delta"] == pytest.approx(fresh)
+    assert rows[0]["regressed"] is regressed
+    assert rows[0]["status"] == ("regressed" if regressed else "ok")
+    text = format_rows("models", rows, 0.2)
+    assert "not comparable" not in text
+    assert f"{fresh:+.4f} abs" in text
 
 
 def test_format_rows_mentions_regressions():
