@@ -9,6 +9,10 @@
 recorded in ``benchmarks/results/``, and exits non-zero when any tracked
 metric regressed past the threshold (default 20%).
 
+The service load figures are compared only against a baseline recorded
+at the same ``cpu_count``; otherwise the comparison is reported as
+skipped.
+
 Only *worse-is-higher* metrics are tracked (wall times, latencies, the
 enabled/disabled overhead ratio, per-segment residual fractions, the
 segment tiling error); getting faster never fails.  A baseline of 0
@@ -212,7 +216,10 @@ def main(argv: list[str] | None = None) -> int:
                 export_dir=args.export_dir,
             )
         else:
+            # The configuration ``bench_service_load.test_service_load``
+            # records the baseline with.
             fresh_load = run_benchmark(
+                engine_jobs=min(4, os.cpu_count() or 1),
                 export_dir=args.export_dir,
                 fleet_clients=100,
                 fleet_worker_counts=(1, 2, 4),
@@ -220,6 +227,14 @@ def main(argv: list[str] | None = None) -> int:
         baseline_load = _load_baseline(baseline_dir / "service_load.json")
         if baseline_load is None:
             reports.append("[service_load] no recorded baseline; skipping comparison")
+        elif baseline_load.get("cpu_count") != fresh_load.get("cpu_count"):
+            # Latency and wall time under 8-100 concurrent clients scale
+            # with the cores serving them: another host's baseline would
+            # pass a regression or fail a fix.
+            reports.append(
+                f"[service_load] no baseline recorded at cpu_count "
+                f"{fresh_load.get('cpu_count')}; comparison skipped"
+            )
         elif args.smoke and (
             baseline_load.get("clients") != fresh_load.get("clients")
             or baseline_load.get("requests_per_client") != fresh_load.get("requests_per_client")

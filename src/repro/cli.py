@@ -322,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-queue", type=int, default=32, metavar="N",
-        help="admission bound on queued+running jobs (429 beyond it)",
+        help="admission bound on queued+running jobs (429 beyond it), and the"
+        " number of finished jobs kept in memory (older ones are read from"
+        " the job store)",
     )
     p_serve.add_argument(
         "--job-timeout", type=float, default=600.0, metavar="SECONDS",

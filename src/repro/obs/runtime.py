@@ -40,6 +40,7 @@ __all__ = [
     "is_enabled",
     "tracer",
     "registry",
+    "inc",
     "session",
 ]
 
@@ -99,6 +100,11 @@ def registry():
     """The active metrics registry, or the no-op singleton."""
     s = _active
     return s.registry if s is not None else NOOP_REGISTRY
+
+
+def inc(name: str, value: float = 1) -> None:
+    """Count ``value`` into the active session's counter ``name``."""
+    registry().inc(name, value)
 
 
 @contextmanager

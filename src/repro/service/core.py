@@ -30,6 +30,8 @@ Guarantees:
 * **durability** — every state transition is persisted atomically; a
   restarted service re-queues interrupted jobs and keeps serving
   ``status``/``result`` for finished ones.
+* **bounded memory** — the job table holds the active jobs plus the
+  ``max_queue`` most recently finished ones; the store serves the rest.
 * **graceful lifecycle** — ``drain()`` stops admission and waits for
   in-flight jobs; per-job ``job_timeout``; transient failures
   (:data:`~repro.runner.engine.TRANSIENT_EXCEPTIONS`) retried a bounded
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import heapq
 import itertools
 import os
 import sqlite3
@@ -97,7 +100,7 @@ class ServiceConfig:
     cache_dir: str | Path | None = None  # default: $SCALTOOL_CACHE_DIR / .scaltool_cache
     jobs: int = 1  # engine executor width (1 = serial, N = process pool)
     workers: int = 2  # concurrent jobs in flight
-    max_queue: int = 32  # admission bound on queued+running jobs
+    max_queue: int = 32  # admission bound on queued+running jobs; finished jobs kept in memory
     job_timeout: float = 600.0  # seconds before a running job is failed
     retries: int = 1  # service-level retries of transient job failures
     batch_window: float = 0.02  # seconds the batcher waits to coalesce claims
@@ -217,7 +220,11 @@ class AnalysisService:
             if self.config.cache_dir is not None
             else default_cache_root()
         )
-        self.store = JobStore(self.root / "service" / "jobs")
+        # The one metrics store behind /metrics, /v1/stats and /healthz:
+        # always on, so its histograms are bucketed (bounded memory).  The
+        # job store, claim table and run cache count their events into it.
+        self.metrics = MetricsRegistry(histogram_factory=BucketHistogram)
+        self.store = JobStore(self.root / "service" / "jobs", tally=self._tally)
         self.ring = HashRing(self.config.shard_count)
         # Every service, one process or a worker of many, keeps its run-cache
         # index and its claim table in SQLite-WAL files under the cache root,
@@ -231,9 +238,12 @@ class AnalysisService:
             self.run_cache: RunCache = IndexedRunCache(
                 self.root / "runs",
                 RunCacheIndex(self.root / "service" / "run_index.sqlite"),
+                tally=self._tally,
             )
             claims = SqliteClaimTable(
-                self.root / "service" / "claims.sqlite", ttl=self.config.claim_ttl
+                self.root / "service" / "claims.sqlite",
+                ttl=self.config.claim_ttl,
+                tally=self._tally,
             )
         except (OSError, sqlite3.OperationalError) as exc:
             self.degraded = f"{type(exc).__name__}: {exc}"
@@ -242,14 +252,17 @@ class AnalysisService:
             self.planner = RequestPlanner(self.run_cache, claims)
         self.executor = default_executor(self.config.jobs)
         self.traces = TraceBuffer()
-        # The one metrics store behind /metrics, /v1/stats and /healthz:
-        # always on, so its histograms are bucketed (bounded memory).
-        self.metrics = MetricsRegistry(histogram_factory=BucketHistogram)
         self.started_at = time.time()
 
         self._lock = threading.Lock()
         self._done_cv = threading.Condition(self._lock)
+        # The job table: every active job, plus the ``max_queue`` most
+        # recently finished ones (``_finished``, oldest first).  Older jobs
+        # are read back from the store.  ``_states`` counts every job this
+        # shard owns by state, the ones the table no longer holds included.
         self._jobs: dict[str, Job] = {}
+        self._finished: collections.OrderedDict[str, None] = collections.OrderedDict()
+        self._states: collections.Counter[str] = collections.Counter()
         self._enqueued_at: dict[str, float] = {}  # job id -> wall time of enqueue
         self._seq = itertools.count()
         self._draining = False
@@ -305,21 +318,31 @@ class AnalysisService:
         return self.ring.owner(job_id) == self.config.shard_index
 
     def _recover(self) -> None:
-        """Re-register stored jobs; interrupted ones go back on the queue.
+        """Count stored jobs; interrupted ones go back on the queue.
 
-        Workers under a dispatcher share one store directory, so each
-        recovers only the jobs the ring routes to it — re-queuing a
-        peer's interrupted job would double-execute it once the peer
-        restarts.
+        The store is read one job at a time: the table takes the
+        re-queued jobs and the most recently finished ones, and the state
+        tally counts them all.  Workers under a dispatcher share one store
+        directory, so each recovers only the jobs the ring routes to it —
+        re-queuing a peer's interrupted job would double-execute it once
+        the peer restarts.
         """
         requeue: list[Job] = []
+        latest: list[tuple] = []  # min-heap of (finished, id, job), max_queue long
         with self._lock:
-            for job in self.store.load_all(predicate=self.owns):
-                self._jobs[job.id] = job
+            for job in self.store.scan(predicate=self.owns):
+                self._states[job.state] += 1
                 if job.state in ACTIVE_STATES:
-                    job.state = "queued"
+                    self._set_state(job, "queued")
                     self.store.put(job)
                     requeue.append(job)
+                else:
+                    heapq.heappush(latest, (job.finished or 0.0, job.id, job))
+                    if len(latest) > self.config.max_queue:
+                        heapq.heappop(latest)
+            for _, _, job in sorted(latest):
+                self._keep_finished(job)
+        requeue.sort(key=lambda j: j.created)
         for job in requeue:
             self._tally("service.jobs.recovered")
             self._enqueue(job)
@@ -338,7 +361,7 @@ class AnalysisService:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._lock:
-                active = sum(1 for j in self._jobs.values() if j.state in ACTIVE_STATES)
+                active = self._active_count()
             if not active:
                 return True
             if deadline is not None and time.monotonic() >= deadline:
@@ -423,6 +446,11 @@ class AnalysisService:
                 raise ServiceError(f"bad priority {priority!r}; expected an integer") from None
         with self._lock:
             existing = self._jobs.get(job_id)
+            if existing is None and self.owns(job_id):
+                # A finished job the table no longer holds.
+                stored = self.store.get(job_id)
+                if stored is not None and stored.state in TERMINAL_STATES:
+                    existing = stored
             if existing is not None and existing.state != "failed":
                 self._tally("service.jobs.deduped")
                 return existing, True
@@ -432,7 +460,7 @@ class AnalysisService:
                     retry_after=self.config.retry_after,
                     draining=True,
                 )
-            active = sum(1 for j in self._jobs.values() if j.state in ACTIVE_STATES)
+            active = self._active_count()
             if active >= self.config.max_queue:
                 self._tally("service.admission.rejected")
                 raise QueueFullError(
@@ -441,18 +469,19 @@ class AnalysisService:
                 )
             if existing is not None:  # failed -> re-queue under the same id
                 job = existing
-                job.state = "queued"
                 job.error = None
                 job.result = None
                 job.finished = None
                 job.priority = priority
+                self._set_state(job, "queued")
             else:
                 job = Job(id=job_id, kind=kind, payload=request.canonical, priority=priority)
+                self._states[job.state] += 1
+                self._jobs[job.id] = job
             if trace_ctx is not None:
                 job.trace_id = trace_ctx.trace_id
                 job.trace_parent = trace_ctx.span_id
                 job.trace_span = new_span_id()
-            self._jobs[job.id] = job
             self.store.put(job)
             self._tally("service.jobs.submitted")
         self._enqueue(job)
@@ -477,7 +506,8 @@ class AnalysisService:
 
         In-memory jobs wait on a condition variable that :meth:`_finish`
         notifies — no polling on the hot path.  Jobs known only to the
-        store (another worker's, a past life's) fall back to polling.
+        store (another worker's, or finished ones the table no longer
+        holds) fall back to polling.
         """
         deadline = time.monotonic() + timeout
         while True:
@@ -503,27 +533,35 @@ class AnalysisService:
         state: str | None = None,
         fingerprint: str | None = None,
         since: float | None = None,
-    ) -> list[Job]:
-        """Jobs in submission order, filtered (``GET /v1/jobs?...``).
+    ) -> list[dict]:
+        """Job summaries in submission order, filtered (``GET /v1/jobs?...``).
 
         Filters compose: ``state`` matches the job state exactly,
         ``fingerprint`` is a job-id prefix (the fingerprint *is* the id),
         ``since`` keeps jobs submitted at or after the epoch timestamp.
+        Jobs the table no longer holds are read from the store one at a
+        time and only their summaries kept, so a listing holds no result.
         """
         with self._lock:
-            jobs = sorted(self._jobs.values(), key=lambda j: j.created)
-        return [
-            j
-            for j in jobs
+            held = dict(self._jobs)
+        stored = self.store.scan(
+            predicate=lambda job_id: job_id not in held
+            and self.owns(job_id)
+            and (fingerprint is None or job_id.startswith(fingerprint))
+        )
+        summaries = [
+            j.summary()
+            for j in itertools.chain(held.values(), stored)
             if (state is None or j.state == state)
             and (fingerprint is None or j.id.startswith(fingerprint))
             and (since is None or j.created >= since)
         ]
+        return sorted(summaries, key=lambda s: s["created"])
 
     def stats(self) -> dict:
         """Always-on service tallies plus current queue occupancy."""
         with self._lock:
-            states = collections.Counter(j.state for j in self._jobs.values())
+            states = dict(self._states)
             draining = self._draining
         counters = {
             name.removeprefix("service."): int(value)
@@ -607,7 +645,7 @@ class AnalysisService:
     def health(self) -> dict:
         """The liveness view served by ``GET /healthz``."""
         with self._lock:
-            states = collections.Counter(j.state for j in self._jobs.values())
+            states = dict(self._states)
             draining = self._draining
         queued = states.get("queued", 0)
         running = states.get("running", 0)
@@ -638,6 +676,29 @@ class AnalysisService:
 
     # -- internals --------------------------------------------------------------------
 
+    def _active_count(self) -> int:
+        return self._states["queued"] + self._states["running"]
+
+    def _set_state(self, job: Job, state: str) -> None:
+        """Move ``job`` to ``state`` in the tally and the table (lock held)."""
+        self._states[job.state] -= 1
+        self._states[state] += 1
+        job.state = state
+        if state in TERMINAL_STATES:
+            self._keep_finished(job)
+        else:
+            self._finished.pop(job.id, None)
+            self._jobs[job.id] = job
+
+    def _keep_finished(self, job: Job) -> None:
+        """Hold a finished job in the table (lock held); past ``max_queue``
+        finished jobs, the oldest leaves it and the store serves it."""
+        self._jobs[job.id] = job
+        self._finished[job.id] = None
+        while len(self._finished) > self.config.max_queue:
+            evicted, _ = self._finished.popitem(last=False)
+            del self._jobs[evicted]
+
     def _enqueue(self, job: Job) -> None:
         assert self._loop is not None and self._queue is not None
         with self._lock:
@@ -662,7 +723,7 @@ class AnalysisService:
                     enqueued_at = self._enqueued_at.pop(job_id, None)
                     if job is None or job.state != "queued":
                         continue  # stale queue entry (deduped resubmit, recovery)
-                    job.state = "running"
+                    self._set_state(job, "running")
                     job.started = time.time()
                     self.store.put(job)
                 if enqueued_at is not None:
@@ -734,10 +795,10 @@ class AnalysisService:
             # A live obs session receives the finished tree too.
             obs.tracer().extend(spans)
         with self._lock:
-            job.state = state
             job.result = result
             job.error = error
             job.finished = finished
+            self._set_state(job, state)
             self.store.put(job)
             self._tally("service.jobs.done" if state == "done" else "service.jobs.failed")
             self._done_cv.notify_all()

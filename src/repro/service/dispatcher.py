@@ -180,6 +180,7 @@ class Dispatcher(_HTTPFront):
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
                 handle.proc.kill()
                 handle.proc.wait(timeout=5)
+        self.close_forwards()
         shutil.rmtree(self._port_dir, ignore_errors=True)
         _log.debug("dispatcher stopped")
 
@@ -296,6 +297,12 @@ class Dispatcher(_HTTPFront):
         raise ServiceError(
             f"worker {handle.shard} unreachable past restart grace: {last}"
         )
+
+    def close_forwards(self) -> None:
+        """Close the calling thread's keep-alive connections to the workers."""
+        for handle in self.workers:
+            if handle.client is not None:
+                handle.client.close()
 
     def fan_out(
         self,
@@ -487,6 +494,14 @@ class _DispatchHandler(_JsonHandler):
     @property
     def dispatcher(self) -> Dispatcher:
         return self.front
+
+    def finish(self) -> None:
+        # This thread serves one client connection and ends with it, so
+        # its keep-alive connections to the workers close here.
+        try:
+            super().finish()
+        finally:
+            self.dispatcher.close_forwards()
 
     def _proxy(self, handle: WorkerHandle, body: bytes) -> None:
         """Forward this request to ``handle``; relay the answer byte-for-byte."""

@@ -21,6 +21,11 @@ of processes on one cache root see the same state *atomically*:
   row's generation matches, so a refresh by *any* process invalidates
   every process's memo.
 
+Both count their events (``service.claims.expired``,
+``service.runcache.memo_hits``) through the ``tally`` their owner
+passes: the service passes its own, so the events show on its
+``/metrics`` and ``/v1/stats``.
+
 SQLite is in the standard library, WAL mode gives multi-process
 readers + single-writer semantics with no daemon, and every mutation
 here is a single statement or one short ``BEGIN IMMEDIATE`` block —
@@ -35,8 +40,8 @@ import threading
 import time
 import uuid
 from pathlib import Path
+from typing import Callable
 
-from ..obs import runtime as obs
 from ..runner.engine import RunCache, RunRecord, RunSpec
 
 __all__ = [
@@ -124,10 +129,13 @@ class SqliteClaimTable:
         path: str | Path,
         ttl: float = DEFAULT_CLAIM_TTL,
         owner: str | None = None,
+        *,
+        tally: Callable[[str, float], None],
     ) -> None:
         self.path = Path(path)
         self.ttl = float(ttl)
         self.owner = owner or make_owner_id()
+        self._tally = tally
         self._lock = threading.Lock()
         self._conn = _connect(self.path)
         with self._lock:
@@ -155,7 +163,7 @@ class SqliteClaimTable:
         for key in stale:
             self._conn.execute("DELETE FROM claims WHERE key = ?", (key,))
         if stale:
-            obs.registry().inc("service.claims.expired", len(stale))
+            self._tally("service.claims.expired", len(stale))
         return len(stale)
 
     def expire(self) -> int:
@@ -344,9 +352,17 @@ class IndexedRunCache(RunCache):
       rewrite bumps the generation.
     """
 
-    def __init__(self, root: str | Path, index: RunCacheIndex, memo_cap: int = 4096):
+    def __init__(
+        self,
+        root: str | Path,
+        index: RunCacheIndex,
+        memo_cap: int = 4096,
+        *,
+        tally: Callable[[str, float], None],
+    ):
         super().__init__(root)
         self.index = index
+        self._tally = tally
         self._memo_cap = int(memo_cap)
         self._memo_lock = threading.Lock()
         self._memo: dict[str, tuple[int, RunRecord]] = {}
@@ -366,9 +382,9 @@ class IndexedRunCache(RunCache):
         if gen is not None:
             with self._memo_lock:
                 hit = self._memo.get(key)
-                if hit is not None and hit[0] == gen:
-                    obs.registry().inc("service.runcache.memo_hits")
-                    return hit[1]
+            if hit is not None and hit[0] == gen:
+                self._tally("service.runcache.memo_hits", 1)
+                return hit[1]
         record = super().get(spec)
         if record is None:
             if gen is not None and not self.path(spec).exists():

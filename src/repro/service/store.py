@@ -12,7 +12,10 @@ rewritten (write-then-rename, the same idiom as
   request (:func:`~repro.service.requests.request_fingerprint`).
 
 A corrupt job file is never fatal: it is logged, counted
-(``service.store.corrupt``), and skipped.
+(``service.store.corrupt``), and skipped.  The count goes to the
+store's ``tally``: a service passes its own, so the event shows on its
+``/metrics`` and ``/v1/stats``; a bare store (the CLI's) counts into the
+obs session.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, Iterator
 
 from ..errors import ServiceError
 from ..obs import runtime as obs
@@ -59,8 +63,7 @@ class Job:
 
     def summary(self) -> dict:
         """The status view: everything but the (possibly large) result."""
-        out = asdict(self)
-        out.pop("result")
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "result"}
         out["has_result"] = self.result is not None
         return out
 
@@ -81,8 +84,11 @@ class Job:
 class JobStore:
     """Directory-backed job persistence with atomic per-job writes."""
 
-    def __init__(self, root: str | Path) -> None:
+    def __init__(
+        self, root: str | Path, tally: Callable[[str, float], None] = obs.inc
+    ) -> None:
         self.root = Path(root)
+        self._tally = tally
 
     def path(self, job_id: str) -> Path:
         return self.root / f"{job_id}.json"
@@ -110,26 +116,29 @@ class JobStore:
             self._note_corrupt(job_id, exc)
             return None
 
-    def load_all(self, predicate=None) -> list[Job]:
-        """Every readable job, oldest first (corrupt entries are skipped).
+    def scan(self, predicate=None) -> Iterator[Job]:
+        """Every readable job, one at a time in id order (corrupt entries
+        are skipped).
 
         ``predicate`` filters by job *id* before the file is read — the
         multi-worker service passes its shard-ownership test so each
         worker recovers only the jobs the ring routes to it, even though
         all workers share one store directory.
         """
-        jobs = []
         if self.root.is_dir():
             for path in sorted(self.root.glob("j*.json")):
                 if predicate is not None and not predicate(path.stem):
                     continue
                 job = self.get(path.stem)
                 if job is not None:
-                    jobs.append(job)
-        return sorted(jobs, key=lambda j: j.created)
+                    yield job
+
+    def load_all(self, predicate=None) -> list[Job]:
+        """Every readable job (see :meth:`scan`), oldest first."""
+        return sorted(self.scan(predicate), key=lambda j: j.created)
 
     def _note_corrupt(self, job_id: str, exc: Exception) -> None:
-        obs.registry().inc("service.store.corrupt")
+        self._tally("service.store.corrupt", 1)
         _log.warning("job store entry unreadable %s", kv(job=job_id, reason=exc))
 
     # -- health -------------------------------------------------------------------
@@ -153,7 +162,7 @@ class JobStore:
     # -- per-job trace timelines --------------------------------------------------
     #
     # Timelines live in a subdirectory (not next to the j*.json job files,
-    # which load_all() globs) and hold the job's distributed span tree as
+    # which scan() globs) and hold the job's distributed span tree as
     # recorded at finish time.
 
     def timeline_path(self, job_id: str) -> Path:

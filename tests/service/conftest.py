@@ -13,8 +13,11 @@ Two kinds of test run here:
 
 from __future__ import annotations
 
+import collections
 import sqlite3
 import threading
+import urllib.error
+import urllib.request
 from contextlib import closing
 from pathlib import Path
 
@@ -42,6 +45,21 @@ def age_claim(db: Path, key: str, seconds: float) -> None:
         conn.execute(
             "UPDATE claims SET heartbeat = heartbeat - ? WHERE key = ?", (seconds, key)
         )
+
+
+class Tally(collections.Counter):
+    """A ``tally`` callable that keeps what it was told to count."""
+
+    def __call__(self, name: str, value: float) -> None:
+        self[name] += value
+
+
+def http_error(request) -> urllib.error.HTTPError:
+    """The HTTPError ``urlopen(request)`` raises, its connection closed."""
+    with pytest.raises(urllib.error.HTTPError) as exc_info:
+        urllib.request.urlopen(request)
+    exc_info.value.close()
+    return exc_info.value
 
 
 @pytest.fixture(scope="module")

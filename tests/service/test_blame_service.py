@@ -9,8 +9,6 @@ what ``scaltool blame`` prints for the same campaign.
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -19,7 +17,7 @@ from repro.service.client import ServiceClient
 from repro.service.core import ServiceConfig
 from repro.service.http import ServiceServer
 
-from .conftest import WARM_COUNTS, WARM_PAYLOAD, WARM_S0
+from .conftest import WARM_COUNTS, WARM_PAYLOAD, WARM_S0, http_error
 from .test_cli_service import cli_stdout
 
 WARM_ARGS = [
@@ -36,7 +34,8 @@ def server(warm_root):
 
 @pytest.fixture(scope="module")
 def client(server):
-    return ServiceClient(server.url, timeout=30)
+    with ServiceClient(server.url, timeout=30) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +56,12 @@ def stub_server(tmp_path, stub_requests):
     srv.service._draining = False
     stub_requests.release_all()
     srv.shutdown(drain_timeout=10)
+
+
+@pytest.fixture
+def stub_client(stub_server):
+    with ServiceClient(stub_server.url, timeout=10) as client:
+        yield client
 
 
 class TestBlameEndpoint:
@@ -102,20 +107,18 @@ class TestBlameEndpoint:
         with pytest.raises(JobNotFoundError):
             client.blame("j" + "f" * 16)
 
-    def test_blame_of_non_campaign_job_rejected(self, stub_server, stub_requests):
-        client = ServiceClient(stub_server.url, timeout=10)
-        submitted = client.submit("stub", {"name": "a"})
-        client.wait(submitted["id"], timeout=10)
+    def test_blame_of_non_campaign_job_rejected(self, stub_client, stub_requests):
+        submitted = stub_client.submit("stub", {"name": "a"})
+        stub_client.wait(submitted["id"], timeout=10)
         with pytest.raises(ServiceError, match="no campaign"):
-            client.blame(submitted["id"])
+            stub_client.blame(submitted["id"])
 
-    def test_blame_of_active_job_rejected(self, stub_server, stub_requests):
-        client = ServiceClient(stub_server.url, timeout=10)
+    def test_blame_of_active_job_rejected(self, stub_client, stub_requests):
         gate = stub_requests.gate("slow")
-        submitted = client.submit("stub", {"name": "slow"})
+        submitted = stub_client.submit("stub", {"name": "slow"})
         try:
             with pytest.raises(ServiceError, match="needs a result"):
-                client.blame(submitted["id"])
+                stub_client.blame(submitted["id"])
         finally:
             gate.set()
 
@@ -129,52 +132,43 @@ class TestJobsPagination:
             ids.append(submitted["id"])
         return ids
 
-    def test_limit_and_offset_cut_the_page(self, stub_server, stub_requests):
-        client = ServiceClient(stub_server.url, timeout=10)
-        ids = self._three_done_jobs(client, stub_requests)
-        page = client.jobs_page(limit=2)
+    def test_limit_and_offset_cut_the_page(self, stub_client, stub_requests):
+        ids = self._three_done_jobs(stub_client, stub_requests)
+        page = stub_client.jobs_page(limit=2)
         assert [j["id"] for j in page["jobs"]] == ids[:2]
         assert page["total"] == 3 and page["limit"] == 2 and page["offset"] == 0
-        rest = client.jobs_page(offset=2)
+        rest = stub_client.jobs_page(offset=2)
         assert [j["id"] for j in rest["jobs"]] == ids[2:]
         assert rest["total"] == 3
 
-    def test_state_filter(self, stub_server, stub_requests):
-        client = ServiceClient(stub_server.url, timeout=10)
-        self._three_done_jobs(client, stub_requests)
+    def test_state_filter(self, stub_client, stub_requests):
+        self._three_done_jobs(stub_client, stub_requests)
         stub_requests.fail_hard.add("broken")
-        submitted = client.submit("stub", {"name": "broken"})
-        client.wait(submitted["id"], timeout=10)
-        assert client.jobs_page(state="done")["total"] == 3
-        failed = client.jobs_page(state="failed")
+        submitted = stub_client.submit("stub", {"name": "broken"})
+        stub_client.wait(submitted["id"], timeout=10)
+        assert stub_client.jobs_page(state="done")["total"] == 3
+        failed = stub_client.jobs_page(state="failed")
         assert [j["id"] for j in failed["jobs"]] == [submitted["id"]]
 
-    def test_fingerprint_filter_is_id_prefix(self, stub_server, stub_requests):
-        client = ServiceClient(stub_server.url, timeout=10)
-        ids = self._three_done_jobs(client, stub_requests)
-        page = client.jobs_page(fingerprint=ids[0][:8])
+    def test_fingerprint_filter_is_id_prefix(self, stub_client, stub_requests):
+        ids = self._three_done_jobs(stub_client, stub_requests)
+        page = stub_client.jobs_page(fingerprint=ids[0][:8])
         assert ids[0] in [j["id"] for j in page["jobs"]]
-        assert client.jobs_page(fingerprint="zzz")["total"] == 0
+        assert stub_client.jobs_page(fingerprint="zzz")["total"] == 0
 
-    def test_since_filter(self, stub_server, stub_requests):
-        client = ServiceClient(stub_server.url, timeout=10)
-        self._three_done_jobs(client, stub_requests)
-        assert client.jobs_page(since=0.0)["total"] == 3
-        assert client.jobs_page(since=4e10)["total"] == 0
+    def test_since_filter(self, stub_client, stub_requests):
+        self._three_done_jobs(stub_client, stub_requests)
+        assert stub_client.jobs_page(since=0.0)["total"] == 3
+        assert stub_client.jobs_page(since=4e10)["total"] == 0
 
     def test_unknown_query_param_is_400(self, stub_server):
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urllib.request.urlopen(stub_server.url + "/v1/jobs?order=lifo")
-        assert exc_info.value.code == 400
+        assert http_error(stub_server.url + "/v1/jobs?order=lifo").code == 400
 
     def test_negative_limit_is_400(self, stub_server):
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urllib.request.urlopen(stub_server.url + "/v1/jobs?limit=-1")
-        assert exc_info.value.code == 400
+        assert http_error(stub_server.url + "/v1/jobs?limit=-1").code == 400
 
-    def test_plain_jobs_stays_a_bare_list(self, stub_server, stub_requests):
-        client = ServiceClient(stub_server.url, timeout=10)
-        assert client.jobs() == []
-        self._three_done_jobs(client, stub_requests)
-        listing = client.jobs()
+    def test_plain_jobs_stays_a_bare_list(self, stub_client, stub_requests):
+        assert stub_client.jobs() == []
+        self._three_done_jobs(stub_client, stub_requests)
+        listing = stub_client.jobs()
         assert isinstance(listing, list) and len(listing) == 3

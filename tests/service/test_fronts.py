@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import urllib.parse
 
 import pytest
 
 from repro.service.core import ServiceConfig
 from repro.service.dispatcher import Dispatcher
-from repro.service.http import ServiceServer
+from repro.service.http import ServiceServer, _JsonHandler
 
 #: (method, path, body) requests both fronts must refuse alike.
 MALFORMED = [
@@ -76,6 +77,24 @@ def test_malformed_request_answers_400_alike(fronts, method, path, body):
     fleet = _call(fronts["fleet"].url, method, path, body)
     assert single[0] == 400 and single[1]["error"]
     assert (fleet[0], fleet[1]["error"]) == (single[0], single[1]["error"])
+
+
+def test_accepted_connections_set_tcp_nodelay(fronts, monkeypatch):
+    # A reply leaves as two writes; with Nagle's algorithm on, the second
+    # waits out the client's delayed ACK of the first.
+    seen = {}
+    setup = _JsonHandler.setup
+
+    def spy(handler):
+        setup(handler)
+        flag = handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        seen[type(handler).__name__] = flag
+
+    monkeypatch.setattr(_JsonHandler, "setup", spy)
+    for front in ("single", "fleet"):
+        assert _call(fronts[front].url, "GET", "/healthz", None)[0] == 200
+    assert set(seen) == {"_Handler", "_DispatchHandler"}
+    assert all(seen.values()), seen
 
 
 def test_reused_forward_connection_takes_the_new_timeout(fronts):

@@ -10,7 +10,7 @@ from repro.service.client import ServiceClient, default_service_url
 from repro.service.core import ServiceConfig
 from repro.service.http import ServiceServer
 
-from .conftest import WARM_PAYLOAD
+from .conftest import WARM_PAYLOAD, http_error
 
 
 @pytest.fixture
@@ -26,7 +26,8 @@ def server(tmp_path, stub_requests):
 
 @pytest.fixture
 def client(server):
-    return ServiceClient(server.url, timeout=10)
+    with ServiceClient(server.url, timeout=10) as client:
+        yield client
 
 
 class TestRoutes:
@@ -36,9 +37,7 @@ class TestRoutes:
         assert health["jobs"] == {"queued": 0, "running": 0, "done": 0, "failed": 0}
 
     def test_unknown_route_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urllib.request.urlopen(server.url + "/nope")
-        assert exc_info.value.code == 404
+        assert http_error(server.url + "/nope").code == 404
 
     def test_submit_status_result_cycle(self, client, stub_requests):
         submitted = client.submit("stub", {"name": "a"})
@@ -86,14 +85,20 @@ class TestRoutes:
         req = urllib.request.Request(
             server.url + "/v1/jobs", data=b"{broken", method="POST"
         )
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urllib.request.urlopen(req)
-        assert exc_info.value.code == 400
+        assert http_error(req).code == 400
 
     def test_jobs_listing(self, client, stub_requests):
         client.submit("stub", {"name": "a"})
         client.submit("stub", {"name": "b"})
         assert len(client.jobs()) == 2
+
+    def test_corrupt_job_record_shows_on_metrics_and_stats(self, server, client):
+        job_id = "j" + "c" * 16
+        server.service.store.path(job_id).write_text("{not json")
+        with pytest.raises(JobNotFoundError):
+            client.status(job_id)
+        assert "scaltool_service_store_corrupt_total 1" in client.metrics().splitlines()
+        assert client.stats()["counters"]["store.corrupt"] == 1
 
     def test_stats_route(self, client, stub_requests):
         submitted = client.submit("stub", {"name": "a"})
@@ -111,8 +116,8 @@ class TestBackpressure:
             ),
             port=0,
         ).start()
+        client = ServiceClient(srv.url, timeout=10)
         try:
-            client = ServiceClient(srv.url, timeout=10)
             gate = stub_requests.gate("a")
             client.submit("stub", {"name": "a"})
             stub_requests.started["a"].wait(timeout=5)
@@ -124,16 +129,16 @@ class TestBackpressure:
                 method="POST",
                 headers={"Content-Type": "application/json"},
             )
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(req)
-            assert exc_info.value.code == 429
-            assert exc_info.value.headers["Retry-After"] == "2"
+            error = http_error(req)
+            assert error.code == 429
+            assert error.headers["Retry-After"] == "2"
             # Client translation: QueueFullError with the advisory delay.
             with pytest.raises(QueueFullError) as exc_info:
                 client.submit("stub", {"name": "b"})
             assert exc_info.value.retry_after == 2.0 and not exc_info.value.draining
             gate.set()
         finally:
+            client.close()
             stub_requests.release_all()
             srv.shutdown(drain_timeout=10)
 
@@ -144,8 +149,8 @@ class TestBackpressure:
             ),
             port=0,
         ).start()
+        client = ServiceClient(srv.url, timeout=10)
         try:
-            client = ServiceClient(srv.url, timeout=10)
             gate = stub_requests.gate("a")
             client.submit("stub", {"name": "a"})
             stub_requests.started["a"].wait(timeout=5)
@@ -153,6 +158,7 @@ class TestBackpressure:
             submitted = client.submit("stub", {"name": "b"}, retries=20)
             assert client.wait(submitted["id"], timeout=10)["state"] == "done"
         finally:
+            client.close()
             srv.shutdown(drain_timeout=10)
 
     def test_draining_is_503(self, server, client, stub_requests):
@@ -182,8 +188,8 @@ class TestEndToEnd:
         srv = ServiceServer(
             ServiceConfig(cache_dir=warm_root, workers=2), port=0
         ).start()
+        client = ServiceClient(srv.url, timeout=30)
         try:
-            client = ServiceClient(srv.url, timeout=30)
             submitted = client.submit("analyze", WARM_PAYLOAD)
             view = client.wait(submitted["id"], timeout=120)
             assert view["state"] == "done"
@@ -192,4 +198,5 @@ class TestEndToEnd:
             )
             assert view["result"]["output"] == direct.output
         finally:
+            client.close()
             srv.shutdown(drain_timeout=30)

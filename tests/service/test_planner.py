@@ -15,7 +15,7 @@ from repro.service.planner import RequestPlanner
 from repro.service.requests import compile_request
 from repro.service.shared import SqliteClaimTable
 
-from .conftest import age_claim
+from .conftest import Tally, age_claim
 
 PAYLOAD = {"workload": "synthetic", "s0": 163840, "counts": [1, 2]}
 
@@ -25,7 +25,7 @@ TTL = 60.0
 
 @pytest.fixture
 def table(tmp_path):
-    return SqliteClaimTable(tmp_path / "claims.sqlite", ttl=TTL)
+    return SqliteClaimTable(tmp_path / "claims.sqlite", ttl=TTL, tally=Tally())
 
 
 class TestInFlightTable:

@@ -120,6 +120,51 @@ class TestDedup:
         assert svc.wait(job.id, timeout=10).state == "done"
 
 
+class TestBoundedTable:
+    """The table holds the active jobs plus the ``max_queue`` most recently
+    finished ones; the store answers for every older job."""
+
+    def test_evicted_jobs_answer_from_the_store(self, service, stub_requests):
+        svc = service(max_queue=4)
+        stub_requests.fail_hard.update({"n1", "n6"})
+        ids = []
+        for i in range(20):
+            job, deduped = svc.submit("stub", {"name": f"n{i}"})
+            assert not deduped
+            svc.wait(job.id, timeout=10)
+            ids.append(job.id)
+        assert len(svc._jobs) == 4 and set(svc._jobs) == set(ids[-4:])
+        done, failed = ids[0], ids[1]
+        # status, result and wait read the store.
+        assert svc.status(done).state == "done"
+        assert svc.result(done).result["output"] == "stub:n0\n"
+        assert svc.wait(failed, timeout=1).error == "hard failure in n1"
+        assert done not in svc._jobs and failed not in svc._jobs
+        # Listing: every id in creation order, filters included.
+        assert [j["id"] for j in svc.jobs()] == ids
+        assert [j["id"] for j in svc.jobs(state="failed")] == [ids[1], ids[6]]
+        assert [j["id"] for j in svc.jobs(fingerprint=done)] == [done]
+        assert svc.jobs(fingerprint=done)[0]["has_result"]
+        since = svc.status(ids[10]).created
+        assert [j["id"] for j in svc.jobs(since=since)] == ids[10:]
+        # Exact counts, evicted jobs included.
+        counts = {"queued": 0, "running": 0, "done": 18, "failed": 2}
+        assert svc.stats()["jobs"] == counts and svc.health()["jobs"] == counts
+        # A done job dedups without running again.
+        again, deduped = svc.submit("stub", {"name": "n0"})
+        assert deduped and again.id == done and again.state == "done"
+        assert stub_requests.executed.count("n0") == 1
+        # A failed one is re-queued under its id and runs.
+        stub_requests.fail_hard.discard("n1")
+        retried, deduped = svc.submit("stub", {"name": "n1"})
+        assert not deduped and retried.id == failed
+        assert svc.wait(failed, timeout=10).state == "done"
+        assert stub_requests.executed.count("n1") == 1
+        counts = {"queued": 0, "running": 0, "done": 19, "failed": 1}
+        assert svc.stats()["jobs"] == counts and svc.health()["jobs"] == counts
+        assert len(svc._jobs) == 4 and failed in svc._jobs
+
+
 class TestPriorities:
     def test_lower_priority_number_runs_first(self, service, stub_requests):
         svc = service(workers=1)
@@ -149,7 +194,7 @@ class TestBackpressure:
         assert svc.stats()["counters"]["admission.rejected"] == 1
         gate.set()
         # Capacity frees up as jobs finish.
-        svc.wait(next(j.id for j in svc.jobs() if j.payload["name"] == "b"), timeout=10)
+        svc.wait(next(j["id"] for j in svc.jobs() if j["payload"]["name"] == "b"), timeout=10)
         svc.submit("stub", {"name": "c"})
 
     def test_deduped_submit_accepted_even_when_full(self, service, stub_requests):
@@ -241,6 +286,46 @@ class TestRecovery:
         finally:
             svc.close(drain=True, timeout=10)
 
+    def test_restart_over_more_than_max_queue_jobs(self, tmp_path, stub_requests):
+        store = JobStore(tmp_path / "service" / "jobs")
+        finished = []  # ids, the most recently finished last
+        for i in range(8):
+            state = "failed" if i in (2, 5) else "done"
+            # Finish order differs from id (file name) order.
+            job = Job(
+                id=f"j{i:016x}", kind="stub", payload={"name": f"old{i}"},
+                state=state, created=1000.0 + i, finished=2000.0 + (5 * i) % 8,
+            )
+            store.put(job)
+            finished.append(job.id)
+        finished.sort(key=lambda job_id: store.get(job_id).finished)
+        interrupted = [
+            Job(id="j" + "a" * 16, kind="stub", payload={"name": "r1"}, state="running"),
+            Job(id="j" + "b" * 16, kind="stub", payload={"name": "r2"}, state="queued"),
+        ]
+        for job in interrupted:
+            store.put(job)
+        gates = [stub_requests.gate("r1"), stub_requests.gate("r2")]
+        svc = AnalysisService(config(tmp_path, max_queue=4)).start()
+        try:
+            # The table keeps the re-queued jobs and the four most recently
+            # finished ones; the tally counts every stored job.
+            assert set(svc._jobs) == {j.id for j in interrupted} | set(finished[-4:])
+            jobs = svc.stats()["jobs"]
+            assert (jobs["done"], jobs["failed"], jobs["queued"] + jobs["running"]) == (6, 2, 2)
+            for gate in gates:
+                gate.set()
+            for job in interrupted:
+                assert svc.wait(job.id, timeout=10).state == "done"
+            counts = {"queued": 0, "running": 0, "done": 8, "failed": 2}
+            assert svc.stats()["jobs"] == counts and svc.health()["jobs"] == counts
+            assert sorted(stub_requests.executed) == ["r1", "r2"]
+            assert svc.stats()["counters"]["jobs.recovered"] == 2
+            assert svc.status(finished[0]).state == "done"
+            assert len(svc._jobs) == 4
+        finally:
+            svc.close(drain=True, timeout=10)
+
     def test_no_entries_lost_or_duplicated_across_restart(self, tmp_path, stub_requests):
         svc = AnalysisService(config(tmp_path)).start()
         ids = [svc.submit("stub", {"name": f"n{i}"})[0].id for i in range(4)]
@@ -250,7 +335,7 @@ class TestRecovery:
 
         svc2 = AnalysisService(config(tmp_path)).start()
         try:
-            stored = [j.id for j in svc2.jobs()]
+            stored = [j["id"] for j in svc2.jobs()]
             assert sorted(stored) == sorted(ids)  # nothing lost, nothing doubled
             for job_id in ids:
                 assert svc2.status(job_id).state == "done"
@@ -276,6 +361,11 @@ class TestEndToEnd:
             # Everything resolved from the warm cache: no batch executed.
             assert stats["counters"]["plan.cache_hits"] == stats["counters"]["plan.specs"]
             assert stats["dedup_hit_ratio"] == 1.0
+            # A second job over the campaign reads the run cache's memo,
+            # and the service counts those hits.
+            job, _ = svc.submit("whatif", {**WARM_PAYLOAD, "tm": 0.5})
+            assert svc.wait(job.id, timeout=120).state == "done"
+            assert svc.stats()["counters"]["runcache.memo_hits"] > 0
         finally:
             svc.close(drain=True, timeout=30)
 

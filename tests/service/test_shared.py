@@ -24,7 +24,7 @@ from repro.service.shared import (
 )
 from repro.workloads import make_workload
 
-from .conftest import age_claim
+from .conftest import Tally, age_claim
 
 
 def _spec() -> RunSpec:
@@ -39,8 +39,8 @@ def _spec() -> RunSpec:
 class TestSqliteClaimTable:
     def test_claim_partitions_across_instances(self, tmp_path):
         db = tmp_path / "claims.sqlite"
-        a = SqliteClaimTable(db)
-        b = SqliteClaimTable(db)
+        a = SqliteClaimTable(db, tally=Tally())
+        b = SqliteClaimTable(db, tally=Tally())
         got_a, wait_a = a.claim(["k1", "k2"])
         got_b, wait_b = b.claim(["k1", "k3"])
         assert got_a == ["k1", "k2"] and not wait_a
@@ -49,8 +49,8 @@ class TestSqliteClaimTable:
 
     def test_release_wakes_waiters(self, tmp_path):
         db = tmp_path / "claims.sqlite"
-        a = SqliteClaimTable(db)
-        b = SqliteClaimTable(db)
+        a = SqliteClaimTable(db, tally=Tally())
+        b = SqliteClaimTable(db, tally=Tally())
         a.claim(["k"])
         _, waiting = b.claim(["k"])
         assert not waiting["k"].wait(timeout=0.05)  # still held
@@ -59,17 +59,19 @@ class TestSqliteClaimTable:
 
     def test_ttl_expiry_reclaims_unheartbeated_claim(self, tmp_path):
         db = tmp_path / "claims.sqlite"
-        a = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL)
-        b = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL)
+        tally = Tally()
+        a = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL, tally=Tally())
+        b = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL, tally=tally)
         a.claim(["k"])
         age_claim(db, "k", 2 * DEFAULT_CLAIM_TTL)
         got, waiting = b.claim(["k"])  # expired: b takes it over
         assert got == ["k"] and not waiting
+        assert tally == {"service.claims.expired": 1}
 
     def test_heartbeat_keeps_claim_alive(self, tmp_path):
         db = tmp_path / "claims.sqlite"
-        a = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL)
-        b = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL)
+        a = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL, tally=Tally())
+        b = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL, tally=Tally())
         a.claim(["k"])
         age_claim(db, "k", 2 * DEFAULT_CLAIM_TTL)
         a.heartbeat(["k"])
@@ -87,7 +89,7 @@ class TestSqliteClaimTable:
             "import sys, time\n"
             "sys.path.insert(0, sys.argv[2])\n"
             "from repro.service.shared import SqliteClaimTable\n"
-            "t = SqliteClaimTable(sys.argv[1])\n"
+            "t = SqliteClaimTable(sys.argv[1], tally=lambda name, value: None)\n"
             "got, _ = t.claim(['doomed'])\n"
             "assert got == ['doomed']\n"
             "print('claimed', flush=True)\n"
@@ -101,7 +103,7 @@ class TestSqliteClaimTable:
         )
         try:
             assert proc.stdout.readline().strip() == "claimed"
-            survivor = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL)
+            survivor = SqliteClaimTable(db, ttl=DEFAULT_CLAIM_TTL, tally=Tally())
             got, waiting = survivor.claim(["doomed"])
             assert not got and set(waiting) == {"doomed"}  # held by live owner
             os.kill(proc.pid, signal.SIGKILL)
@@ -112,6 +114,7 @@ class TestSqliteClaimTable:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=5)
+            proc.stdout.close()
 
     def test_owner_alive_semantics(self):
         assert owner_alive(f"{os.getpid()}:abc")
@@ -142,8 +145,9 @@ class TestIndexedRunCache:
         return execute_spec(_spec())
 
     def test_roundtrip_and_memo(self, tmp_path):
+        tally = Tally()
         cache = IndexedRunCache(
-            tmp_path / "runs", RunCacheIndex(tmp_path / "idx.sqlite")
+            tmp_path / "runs", RunCacheIndex(tmp_path / "idx.sqlite"), tally=tally
         )
         spec = _spec()
         assert not cache.contains(spec)
@@ -154,6 +158,7 @@ class TestIndexedRunCache:
         second = cache.get(spec)
         assert first is second  # memo: same parsed object back
         assert first.to_json() == record.to_json()
+        assert tally == {"service.runcache.memo_hits": 2}
 
     def test_adopts_entries_written_by_bare_runcache(self, tmp_path):
         """CLI (bare RunCache) and service (indexed) share the directory."""
@@ -161,15 +166,15 @@ class TestIndexedRunCache:
         spec = _spec()
         bare.put(spec, self._record())
         indexed = IndexedRunCache(
-            tmp_path / "runs", RunCacheIndex(tmp_path / "idx.sqlite")
+            tmp_path / "runs", RunCacheIndex(tmp_path / "idx.sqlite"), tally=Tally()
         )
         assert indexed.contains(spec)  # adopted via stat fallback
         assert indexed.get(spec) is not None
 
     def test_cross_process_rewrite_invalidates_memo(self, tmp_path):
         idx_path = tmp_path / "idx.sqlite"
-        a = IndexedRunCache(tmp_path / "runs", RunCacheIndex(idx_path))
-        b = IndexedRunCache(tmp_path / "runs", RunCacheIndex(idx_path))
+        a = IndexedRunCache(tmp_path / "runs", RunCacheIndex(idx_path), tally=Tally())
+        b = IndexedRunCache(tmp_path / "runs", RunCacheIndex(idx_path), tally=Tally())
         spec = _spec()
         record = self._record()
         a.put(spec, record)
@@ -182,14 +187,14 @@ class TestIndexedRunCache:
 
     def test_index_row_without_payload_self_heals(self, tmp_path):
         writer = IndexedRunCache(
-            tmp_path / "runs", RunCacheIndex(tmp_path / "idx.sqlite")
+            tmp_path / "runs", RunCacheIndex(tmp_path / "idx.sqlite"), tally=Tally()
         )
         spec = _spec()
         writer.put(spec, self._record())
         writer.path(spec).unlink()  # payload vanishes behind the index's back
         # A fresh process (no memo) sees the divergence and heals the index.
         reader = IndexedRunCache(
-            tmp_path / "runs", RunCacheIndex(tmp_path / "idx.sqlite")
+            tmp_path / "runs", RunCacheIndex(tmp_path / "idx.sqlite"), tally=Tally()
         )
         assert reader.get(spec) is None
         assert reader.index.generation(spec.key()) is None  # row dropped

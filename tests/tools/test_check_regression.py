@@ -15,10 +15,10 @@ from benchmarks.check_regression import (
 )
 
 
-def _load_result(wall: float) -> dict:
+def _load_result(wall: float, cpu_count: int = 2) -> dict:
     phase = {"wall_seconds": wall, "latency_mean_s": wall / 10}
     config = lambda: {"cold": dict(phase), "warm": dict(phase)}  # noqa: E731
-    return {"serial": config(), "parallel": config(),
+    return {"serial": config(), "parallel": config(), "cpu_count": cpu_count,
             "fleet": {"workers": {n: config() for n in ("1", "2", "4")}}}
 
 
@@ -116,3 +116,25 @@ def test_main_profiler_budget_fails_even_without_baseline(tmp_path, monkeypatch)
         lambda repeats=5: {"overhead_ratio": 1.03, "tick_fraction": 0.01},
     )
     assert main(args) == 0
+
+
+@pytest.mark.parametrize(
+    "baseline_cpus, exit_code, text",
+    [(1, 0, "no baseline recorded at cpu_count 2; comparison skipped"), (2, 1, "REGRESSED")],
+    ids=["other-cpu-count-skipped", "same-cpu-count-regression"],
+)
+def test_main_service_load_compares_only_at_the_same_cpu_count(
+    tmp_path, monkeypatch, capsys, baseline_cpus, exit_code, text
+):
+    # A 25% slower fresh run: a regression only against a like baseline.
+    monkeypatch.setattr(
+        "benchmarks.bench_service_load.run_benchmark",
+        lambda **kwargs: _load_result(1.25, cpu_count=2),
+    )
+    (tmp_path / "service_load.json").write_text(
+        json.dumps(_load_result(1.0, cpu_count=baseline_cpus))
+    )
+    args = ["--skip-obs", "--skip-profiler", "--skip-segments", "--skip-models",
+            "--baseline-dir", str(tmp_path)]
+    assert main(args) == exit_code
+    assert text in capsys.readouterr().out
