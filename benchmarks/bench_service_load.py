@@ -63,15 +63,15 @@ def _drive_phase(url: str, clients: int, requests_per_client: int, phase: str) -
     latencies: list[float] = []
 
     def one_client(mix: list[tuple]) -> list[float]:
-        client = ServiceClient(url, timeout=60)
         out = []
-        for kind, payload in mix:
-            t0 = time.perf_counter()
-            submitted = client.submit(kind, payload, retries=50)
-            view = client.wait(submitted["id"], timeout=600)
-            if view["state"] != "done":
-                raise RuntimeError(f"job failed: {view.get('error')}")
-            out.append(time.perf_counter() - t0)
+        with ServiceClient(url, timeout=60) as client:
+            for kind, payload in mix:
+                t0 = time.perf_counter()
+                submitted = client.submit(kind, payload, retries=50)
+                view = client.wait(submitted["id"], timeout=600)
+                if view["state"] != "done":
+                    raise RuntimeError(f"job failed: {view.get('error')}")
+                out.append(time.perf_counter() - t0)
         return out
 
     mixes = _request_mix(clients, requests_per_client, phase)
@@ -111,19 +111,19 @@ def _run_config(
     try:
         cold = _drive_phase(server.url, clients, requests_per_client, "cold")
         warm = _drive_phase(server.url, clients, requests_per_client, "warm")
-        client = ServiceClient(server.url)
-        stats = client.stats()
-        if export_dir is not None:
-            # CI artifact: the live Prometheus exposition plus one job's
-            # merged distributed trace, proving the whole pipeline worked.
-            export_dir.mkdir(parents=True, exist_ok=True)
-            (export_dir / "metrics.prom").write_text(client.metrics())
-            traced = [j for j in client.jobs() if j.get("trace_id")]
-            if traced:
-                tree = client.trace(traced[-1]["id"])
-                (export_dir / "job_trace.json").write_text(
-                    json.dumps(tree, indent=2, sort_keys=True) + "\n"
-                )
+        with ServiceClient(server.url) as client:
+            stats = client.stats()
+            if export_dir is not None:
+                # CI artifact: the live Prometheus exposition plus one job's
+                # merged distributed trace, proving the whole pipeline worked.
+                export_dir.mkdir(parents=True, exist_ok=True)
+                (export_dir / "metrics.prom").write_text(client.metrics())
+                traced = [j for j in client.jobs() if j.get("trace_id")]
+                if traced:
+                    tree = client.trace(traced[-1]["id"])
+                    (export_dir / "job_trace.json").write_text(
+                        json.dumps(tree, indent=2, sort_keys=True) + "\n"
+                    )
     finally:
         server.shutdown(drain_timeout=60)
     counters = stats["counters"]
@@ -163,11 +163,11 @@ def _run_fleet_config(
     try:
         cold = _drive_phase(dispatcher.url, clients, requests_per_client, "cold")
         warm = _drive_phase(dispatcher.url, clients, requests_per_client, "warm")
-        client = ServiceClient(dispatcher.url)
-        stats = client.stats()
-        if export_dir is not None:
-            export_dir.mkdir(parents=True, exist_ok=True)
-            (export_dir / f"metrics_w{worker_count}.prom").write_text(client.metrics())
+        with ServiceClient(dispatcher.url) as client:
+            stats = client.stats()
+            if export_dir is not None:
+                export_dir.mkdir(parents=True, exist_ok=True)
+                (export_dir / f"metrics_w{worker_count}.prom").write_text(client.metrics())
     finally:
         dispatcher.shutdown()
     counters = stats["counters"]

@@ -27,11 +27,21 @@ from dataclasses import dataclass, field
 from .detect import CATEGORY_LABELS, MATERIAL_FRACTION, Detection
 from .graph import ScalingGraph
 
-__all__ = ["BlameFinding", "backtrack"]
+__all__ = ["BlameFinding", "backtrack", "rank_value"]
 
 #: A vertex must hold this share of a material category to be named
 #: alongside the dominant vertex.
 CO_BLAME_SHARE = 0.25
+
+#: Rankings compare shares and cycle counts at this many significant
+#: digits.  Values that differ only in their last bits (a refit one ulp
+#: away, another BLAS) then tie, and the tie falls to the name.
+RANK_DIGITS = 12
+
+
+def rank_value(x: float) -> float:
+    """``x`` rounded to :data:`RANK_DIGITS` significant digits, for sort keys."""
+    return float(f"{x:.{RANK_DIGITS}g}")
 
 
 @dataclass
@@ -134,7 +144,7 @@ def backtrack(graph: ScalingGraph, detection: Detection) -> list[BlameFinding]:
         if base_hi <= 0 or total <= MATERIAL_FRACTION * base_hi:
             continue
         shares = detection.category_shares[category]
-        ranked = sorted(shares.items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = sorted(shares.items(), key=lambda kv: (-rank_value(kv[1]), kv[0]))
         for i, (vertex, share) in enumerate(ranked):
             dominant = i == 0
             if not dominant and share < CO_BLAME_SHARE:
@@ -171,7 +181,7 @@ def backtrack(graph: ScalingGraph, detection: Detection) -> list[BlameFinding]:
                     efficiencies=dict(vl.efficiencies),
                 )
             )
-    raw.sort(key=lambda f: (-f.level_cycles, f.category, f.vertex))
+    raw.sort(key=lambda f: (-rank_value(f.level_cycles), f.category, f.vertex))
     for i, finding in enumerate(raw, start=1):
         finding.rank = i
     return raw

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from ...core.scaltool import ScalToolAnalysis
 from ...obs import runtime as obs
 from ...runner.campaign import CampaignData
-from .backtrack import BlameFinding, backtrack
+from .backtrack import BlameFinding, backtrack, rank_value
 from .detect import CATEGORY_LABELS, MATERIAL_FRACTION, Detection, detect_scaling_loss
 from .graph import ScalingGraph, build_scaling_graph
 
@@ -188,7 +188,9 @@ def diff_reports(ours: BlameReport, theirs: BlameReport) -> dict:
                         "delta_cycles": float(d),
                     }
                 )
-    movers.sort(key=lambda m: (-abs(m["delta_cycles"]), m["vertex"], m["category"]))
+    movers.sort(
+        key=lambda m: (-rank_value(abs(m["delta_cycles"])), m["vertex"], m["category"])
+    )
 
     notes = []
     base_ours = ours.curves["base"].get(str(n_ours), 0.0)

@@ -39,6 +39,7 @@ __all__ = [
     "ParameterEstimates",
     "estimate_cpi0_biased",
     "fit_t2_tm",
+    "nnls_two_columns",
     "adjust_cpi0",
     "estimate_tm_by_n",
     "estimate_parameters",
@@ -134,6 +135,47 @@ def overflow_sizes(uniproc_runs: dict[int, RunRecord], l2_bytes: int) -> list[in
     return sorted(s for s in uniproc_runs if s >= L2_OVERFLOW_FACTOR * l2_bytes)
 
 
+def nnls_two_columns(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``argmin ||design @ x - y||`` subject to ``x >= 0``, for two columns.
+
+    With two unknowns, Lawson–Hanson's active-set search has a closed
+    form.  A feasible full-rank least-squares solution is the optimum.
+    Otherwise an optimum lies on a face ``x_k = 0``, where the best point
+    is the one-column fit ``max(0, a_jᵀy / a_jᵀa_j)``: the answer is the
+    better of the two fits, or zero when no column correlates with ``y``.
+    Collinear columns fit exactly equally well; the tie goes to the column
+    with the larger ``a_jᵀy``, the one Lawson–Hanson frees first.
+    """
+    design = np.asarray(design, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if design.ndim != 2 or design.shape[1] != 2 or y.shape != design.shape[:1]:
+        raise ValueError(
+            f"need an (m, 2) design and an (m,) target; got {design.shape} and {y.shape}"
+        )
+    if not (np.isfinite(design).all() and np.isfinite(y).all()):
+        raise ValueError("design or target holds a non-finite value")
+    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank == 2 and solution[0] >= 0 and solution[1] >= 0:
+        return solution
+    aty = design.T @ y
+    col_sq = np.einsum("ij,ij->j", design, design)
+    # The columns that correlate with y, in Lawson–Hanson's order.
+    fits = [j for j in np.argsort(-aty, kind="stable") if aty[j] > 0 and col_sq[j] > 0]
+    x = np.zeros(2)
+    if not fits:
+        return x
+    j = fits[0]
+    if rank == 2 and len(fits) == 2:
+        # A one-column fit lowers ||y - Ax||² by (a_jᵀy)² / a_jᵀa_j.  At
+        # full rank the two never tie.  Collinear columns tie exactly, so
+        # they skip this comparison, which rounding would otherwise decide.
+        k = fits[1]
+        if aty[k] * aty[k] / col_sq[k] > aty[j] * aty[j] / col_sq[j]:
+            j = k
+    x[j] = aty[j] / col_sq[j]
+    return x
+
+
 def fit_t2_tm(
     uniproc_runs: dict[int, RunRecord],
     cpi0: float,
@@ -179,14 +221,13 @@ def fit_t2_tm(
         # Latencies are physical quantities, and deep-overflow triplets can
         # be (near-)collinear in (h2, hm): t2 is then not separately
         # identifiable and the unconstrained fit may go negative.  Refit
-        # under t2, tm >= 0 — the degenerate solutions fold the
-        # unidentifiable t2 share into tm, which is harmless for every
-        # downstream use that evaluates the same (h2, hm) mix.
-        from scipy.optimize import nnls
-
+        # under t2, tm >= 0.  The degenerate solutions fold the
+        # unidentifiable t2 share into tm: that reproduces the measured
+        # (h2, hm) mix, but a what-if on t2 or on the L2 size moves the
+        # mix and inherits the fold (DESIGN.md §5b.2).
         try:
-            solution, _ = nnls(design, np.clip(y, 0.0, None))
-        except (RuntimeError, ValueError) as exc:
+            solution = nnls_two_columns(design, np.clip(y, 0.0, None))
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise EstimationError(
                 f"constrained (t2, tm) refit failed: {exc}",
                 inputs={"triplet_sizes": sizes, "design_rows": design.tolist()},

@@ -389,6 +389,7 @@ def _rules_model_agreement(fd: FitDiagnostics) -> None:
     mismatch = d.get("dominance_mismatch")
     if mismatch:
         shares = d.get("shares", {})
+        usl, scal = shares.get("usl", {}), shares.get("scaltool", {})
         margin = d.get("dominance_margin", 0.0)
         decisive = (
             margin >= AGREE_DOMINANCE_MARGIN
@@ -398,7 +399,11 @@ def _rules_model_agreement(fd: FitDiagnostics) -> None:
             GRADE_SUSPECT if decisive else GRADE_WARN,
             f"dominant bottleneck disagrees at n={d.get('top_n', '?')}: "
             f"USL says {d.get('dominant_usl', '?')}, Scal-Tool says "
-            f"{d.get('dominant_scaltool', '?')} (shares: {shares})",
+            f"{d.get('dominant_scaltool', '?')} (shares: USL contention "
+            f"{usl.get('contention_share', 0.0):.1%}, coherency "
+            f"{usl.get('coherency_share', 0.0):.1%}; Scal-Tool Sync+Imb "
+            f"{scal.get('sync_imb_share', 0.0):.1%}, L2Lim "
+            f"{scal.get('l2lim_share', 0.0):.1%})",
         )
     rms = d.get("cross_model_rms")
     if rms is not None:

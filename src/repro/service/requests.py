@@ -31,13 +31,13 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 from ..core import ScalTool, WhatIf
 from ..errors import ReproError, ServiceError
-from ..machine.counters import CounterSet
+from ..machine.counters import COUNTER_FIELDS
 from ..obs import lineage
 from ..runner.campaign import (
     DEFAULT_COUNTS,
@@ -199,7 +199,7 @@ def _metrics(value, name: str) -> list[str] | None:
         return None
     if not isinstance(value, (list, tuple)):
         raise ServiceError(f"bad {name!r}: expected a non-empty list of counter names")
-    allowed = {f.name for f in dc_fields(CounterSet)} | {"cpi"}
+    allowed = COUNTER_FIELDS | {"cpi"}
     bad = [m for m in value if m not in allowed]
     if bad:
         raise ServiceError(

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis import BlameReport, blame_campaign, diff_reports
 from repro.analysis.blame import (
     BlameVertex,
     ScalingGraph,
+    backtrack,
     build_scaling_graph,
     default_groups,
     detect_scaling_loss,
@@ -140,6 +142,42 @@ class TestDetector:
         for category, shares in det.category_shares.items():
             if det.category_totals[category] > 0:
                 assert sum(shares.values()) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestRankingTies:
+    """Three segments hold exactly a third of the memory stalls each.
+
+    A refit one ulp away (another BLAS, another NNLS) must not move the
+    dominant segment or reorder the findings: exact ties fall to the name.
+    """
+
+    @staticmethod
+    def _tied():
+        g = _graph(
+            {
+                name: {n: _breakdown(name, n, 100, compute=60, mem=40) for n in (1, 2, 4)}
+                for name in ("calc2", "calc1", "init")
+            }
+        )
+        return g, detect_scaling_loss(g)
+
+    @staticmethod
+    def _ranking(g, det):
+        return [(f.rank, f.category, f.vertex, f.dominant, f.narrative) for f in backtrack(g, det)]
+
+    @pytest.mark.parametrize("bumped", ["calc1", "calc2", "init"])
+    @pytest.mark.parametrize("toward", [np.inf, -np.inf])
+    def test_one_ulp_moves_neither_ranking_nor_text(self, bumped, toward):
+        g, det = self._tied()
+        before = self._ranking(g, det)
+        shares = det.category_shares["memory"]
+        shares[bumped] = float(np.nextafter(shares[bumped], toward))
+        level = det.per_vertex[bumped].category_level
+        level["memory"] = float(np.nextafter(level["memory"], toward))
+        assert self._ranking(g, det) == before
+        assert [(r[2], r[3]) for r in before] == [
+            ("calc1", True), ("calc2", False), ("init", False)
+        ]
 
 
 class TestWallByCount:

@@ -65,6 +65,14 @@ def uniproc_suite():
     return runs
 
 
+def collinear_runs():
+    """Identical hit rates at every overflow size: t2 is unidentifiable."""
+    return {
+        s: fabricate(s, l2_hit_of_miss=0.10)
+        for s in (8 * L2_BYTES, 16 * L2_BYTES, 32 * L2_BYTES)
+    }
+
+
 class TestCpi0Selection:
     def test_picks_lowest_cpi_small_run(self):
         runs = uniproc_suite()
@@ -122,15 +130,13 @@ class TestFit:
         assert t2 >= 0 and tm >= 0
 
     def test_perfectly_collinear_degrades_gracefully(self):
-        # identical hit rates at every size: t2 is unidentifiable; the fit
-        # must fall back to a non-negative solution and flag the rank
-        runs = {
-            s: fabricate(s, l2_hit_of_miss=0.10)
-            for s in (8 * L2_BYTES, 16 * L2_BYTES, 32 * L2_BYTES)
-        }
-        t2, tm, diag = fit_t2_tm(runs, TRUE["cpi0"], L2_BYTES)
+        # the fit must fall back to a non-negative solution and flag the rank
+        t2, tm, diag = fit_t2_tm(collinear_runs(), TRUE["cpi0"], L2_BYTES)
         assert diag["rank_deficient"] and diag["constrained"]
-        assert t2 >= 0 and tm >= 0
+        # h2 is a ninth of hm in every row: the hm column correlates more
+        # with the target, so it takes t2's share, as Lawson-Hanson's does
+        assert t2 == 0.0
+        assert tm == pytest.approx(TRUE["tm"] + TRUE["t2"] / 9, rel=1e-12)
         # the identified combination still predicts the triplets
         assert diag["rms"] < 0.02
 

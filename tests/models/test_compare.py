@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.models import (
@@ -17,7 +18,13 @@ from repro.models import (
     predict_report,
     usl_speedup,
 )
-from repro.obs.diagnostics import GRADE_OK, GRADE_SUSPECT, GRADE_WARN
+from repro.obs.diagnostics import (
+    GRADE_OK,
+    GRADE_SUSPECT,
+    GRADE_WARN,
+    FitDiagnostics,
+    apply_rules,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +83,44 @@ class TestAdversarialCurve:
         assert report["agreement"]["details"]["has_decomposition"] is False
         assert report["grade"] == GRADE_WARN
         assert "scaltool" not in report["models"]
+
+
+class TestAgreementFlag:
+    """The disagreement flag prints shares the way the report does."""
+
+    @staticmethod
+    def _flags(shares):
+        details = {
+            "top_n": 32,
+            "has_decomposition": True,
+            "dominant_usl": "coherency",
+            "dominant_scaltool": "sync+imb",
+            "dominance_mismatch": True,
+            "dominant_share": shares["scaltool"]["sync_imb_share"],
+            "dominance_margin": 187.4,
+            "shares": shares,
+        }
+        fd = FitDiagnostics(name="model_agreement", kind="model_agreement", details=details)
+        return apply_rules(fd).flags
+
+    SHARES = {
+        "usl": {"contention_share": 0.0, "coherency_share": 0.2614058291428282},
+        "scaltool": {"sync_imb_share": 0.5570365546367027, "l2lim_share": 0.002971691958987521},
+    }
+
+    def test_shares_as_percentages(self):
+        assert self._flags(self.SHARES) == [
+            "[suspect] dominant bottleneck disagrees at n=32: USL says coherency, "
+            "Scal-Tool says sync+imb (shares: USL contention 0.0%, coherency 26.1%; "
+            "Scal-Tool Sync+Imb 55.7%, L2Lim 0.3%)"
+        ]
+
+    def test_one_ulp_leaves_the_text(self):
+        bumped = {
+            model: {k: float(np.nextafter(v, np.inf)) for k, v in parts.items()}
+            for model, parts in self.SHARES.items()
+        }
+        assert self._flags(bumped) == self._flags(self.SHARES)
 
 
 class TestScalToolModel:

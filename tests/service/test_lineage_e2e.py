@@ -29,12 +29,12 @@ class TestLineageEndToEnd:
         """One cold analyze job on a live server, shared by every check."""
         root = tmp_path_factory.mktemp("lineage-e2e")
         srv = ServiceServer(ServiceConfig(cache_dir=root, jobs=1), port=0).start()
-        client = ServiceClient(srv.url, timeout=60)
         try:
-            cold = client.submit("analyze", WARM_PAYLOAD)
-            client.wait(cold["id"], timeout=300)
-            cold_lineage = client.lineage(cold["id"])
-            metrics_text = client.metrics()
+            with ServiceClient(srv.url, timeout=60) as client:
+                cold = client.submit("analyze", WARM_PAYLOAD)
+                client.wait(cold["id"], timeout=300)
+                cold_lineage = client.lineage(cold["id"])
+                metrics_text = client.metrics()
         finally:
             srv.shutdown(drain_timeout=60)
         return {
@@ -76,11 +76,11 @@ class TestLineageEndToEnd:
         srv = ServiceServer(
             ServiceConfig(cache_dir=served["root"], jobs=1), port=0
         ).start()
-        client = ServiceClient(srv.url, timeout=60)
         try:
-            job = client.submit("analyze", WARM_PAYLOAD)
-            client.wait(job["id"], timeout=300)
-            lin = client.lineage(job["id"])["lineage"]
+            with ServiceClient(srv.url, timeout=60) as client:
+                job = client.submit("analyze", WARM_PAYLOAD)
+                client.wait(job["id"], timeout=300)
+                lin = client.lineage(job["id"])["lineage"]
         finally:
             srv.shutdown(drain_timeout=60)
         assert lin["cache_misses"] == 0

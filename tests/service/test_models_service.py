@@ -53,7 +53,8 @@ def server(models_root):
 
 @pytest.fixture(scope="module")
 def client(server):
-    return ServiceClient(server.url, timeout=60)
+    with ServiceClient(server.url, timeout=60) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,8 @@ from repro.service.core import ServiceConfig
 from repro.service.dispatcher import Dispatcher
 from repro.service.http import ServiceServer, _profile_params
 
+from .conftest import http_error
+
 PROFILE_KEYS = {"seconds", "interval_s", "shard", "pid", "profile"}
 SAMPLE_PROFILE_KEYS = {
     "interval_s",
@@ -80,12 +82,7 @@ class TestSingleProcess:
         assert "scaltool_profile_requests_total 1" in text
 
     def test_bad_query_answers_400(self, server):
-        import urllib.error
-        import urllib.request
-
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urllib.request.urlopen(server.url + "/v1/profile?bogus=1")
-        assert exc_info.value.code == 400
+        assert http_error(server.url + "/v1/profile?bogus=1").code == 400
 
 
 class TestDispatcherMerge:

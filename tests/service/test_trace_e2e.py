@@ -29,6 +29,14 @@ from repro.service.http import ServiceServer
 from .conftest import WARM_PAYLOAD
 
 
+def _error_json(request) -> tuple[int, dict]:
+    """The status and JSON body of the HTTPError ``urlopen(request)`` raises."""
+    with pytest.raises(urllib.error.HTTPError) as exc_info:
+        urllib.request.urlopen(request)
+    with exc_info.value as error:
+        return error.code, json.loads(error.read().decode())
+
+
 def _tree_check(spans: list[dict]) -> dict:
     """One root, every other span's parent present; returns span-by-id."""
     by_id = {s["span_id"]: s for s in spans}
@@ -48,13 +56,13 @@ class TestTracedJobEndToEnd:
             ),
             port=0,
         ).start()
-        client = ServiceClient(srv.url, timeout=60)
         try:
-            submitted = client.submit("campaign", WARM_PAYLOAD)
-            view = client.wait(submitted["id"], timeout=300)
-            tree = client.trace(submitted["id"])
-            metrics_text = client.metrics()
-            health = client.health()
+            with ServiceClient(srv.url, timeout=60) as client:
+                submitted = client.submit("campaign", WARM_PAYLOAD)
+                view = client.wait(submitted["id"], timeout=300)
+                tree = client.trace(submitted["id"])
+                metrics_text = client.metrics()
+                health = client.health()
         finally:
             srv.shutdown(drain_timeout=60)
         return {
@@ -123,9 +131,9 @@ class TestObsTraceCli:
             ServiceConfig(cache_dir=warm_root, jobs=2, workers=2), port=0
         ).start()
         try:
-            client = ServiceClient(srv.url, timeout=30)
-            submitted = client.submit("analyze", WARM_PAYLOAD)
-            client.wait(submitted["id"], timeout=120)
+            with ServiceClient(srv.url, timeout=30) as client:
+                submitted = client.submit("analyze", WARM_PAYLOAD)
+                client.wait(submitted["id"], timeout=120)
             rc = cli.main(["obs", "trace", submitted["id"], "--url", srv.url])
             out = capsys.readouterr().out
             assert rc == 0
@@ -145,13 +153,13 @@ class TestDisabledPropagation:
             ServiceConfig(cache_dir=tmp_path, workers=1, batch_window=0.0), port=0
         ).start()
         try:
-            client = ServiceClient(srv.url, timeout=10, trace=False)
-            assert client.trace_enabled is False
-            submitted = client.submit("stub", {"name": "a"})
-            assert "trace_id" not in submitted
-            client.wait(submitted["id"], timeout=10)
-            with pytest.raises(ServiceError, match="without trace propagation"):
-                client.trace(submitted["id"])
+            with ServiceClient(srv.url, timeout=10, trace=False) as client:
+                assert client.trace_enabled is False
+                submitted = client.submit("stub", {"name": "a"})
+                assert "trace_id" not in submitted
+                client.wait(submitted["id"], timeout=10)
+                with pytest.raises(ServiceError, match="without trace propagation"):
+                    client.trace(submitted["id"])
             assert len(srv.service.traces) == 0
             assert not srv.service.store.timeline_path(submitted["id"]).exists()
         finally:
@@ -173,30 +181,28 @@ class TestDegradedStore:
             ServiceConfig(cache_dir=tmp_path, workers=1, batch_window=0.0), port=0
         ).start()
         try:
-            client = ServiceClient(srv.url, timeout=10)
-            health = client.health()
-            assert health["status"] == "degraded"
-            assert health["store"]["writable"] is False
-            assert health["store"]["error"]
-            # submit -> 503 with a JSON body naming the degradation
-            body = json.dumps({"kind": "stub", "payload": {"name": "a"}}).encode()
-            req = urllib.request.Request(
-                srv.url + "/v1/jobs", data=body, method="POST",
-                headers={"Content-Type": "application/json"},
-            )
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(req)
-            assert exc_info.value.code == 503
-            payload = json.loads(exc_info.value.read().decode())
-            assert payload["status"] == "degraded"
-            assert payload["store"]["writable"] is False
-            # the client maps the degraded 503 to its own error type
-            with pytest.raises(StoreUnavailableError):
-                client.submit("stub", {"name": "a"})
-            # read endpoints keep answering
-            assert client.jobs() == []
-            with pytest.raises(JobNotFoundError):
-                client.status("j00000000")
+            with ServiceClient(srv.url, timeout=10) as client:
+                health = client.health()
+                assert health["status"] == "degraded"
+                assert health["store"]["writable"] is False
+                assert health["store"]["error"]
+                # submit -> 503 with a JSON body naming the degradation
+                body = json.dumps({"kind": "stub", "payload": {"name": "a"}}).encode()
+                req = urllib.request.Request(
+                    srv.url + "/v1/jobs", data=body, method="POST",
+                    headers={"Content-Type": "application/json"},
+                )
+                code, payload = _error_json(req)
+                assert code == 503
+                assert payload["status"] == "degraded"
+                assert payload["store"]["writable"] is False
+                # the client maps the degraded 503 to its own error type
+                with pytest.raises(StoreUnavailableError):
+                    client.submit("stub", {"name": "a"})
+                # read endpoints keep answering
+                assert client.jobs() == []
+                with pytest.raises(JobNotFoundError):
+                    client.status("j00000000")
         finally:
             srv.shutdown(drain_timeout=10)
 
@@ -220,10 +226,8 @@ class TestDegradedStore:
             ServiceConfig(cache_dir=tmp_path, workers=1), worker_count=2, port=0
         ).start()
         try:
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(disp.url + "/healthz")
-            assert exc_info.value.code == 503
-            health = json.loads(exc_info.value.read().decode())
+            code, health = _error_json(disp.url + "/healthz")
+            assert code == 503
             assert health["status"] == "degraded"
             assert health["store"]["writable"] is False
             assert health["topology"]["missing"] == 0
@@ -232,14 +236,13 @@ class TestDegradedStore:
                 disp.url + "/v1/jobs", data=body, method="POST",
                 headers={"Content-Type": "application/json"},
             )
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(req)
-            assert exc_info.value.code == 503
-            payload = json.loads(exc_info.value.read().decode())
+            code, payload = _error_json(req)
+            assert code == 503
             assert payload["status"] == "degraded"
             assert payload["store"]["writable"] is False
             # the client maps the relayed degraded 503 to its own error type
-            with pytest.raises(StoreUnavailableError):
-                ServiceClient(disp.url, timeout=30).submit("analyze", WARM_PAYLOAD)
+            with ServiceClient(disp.url, timeout=30) as client:
+                with pytest.raises(StoreUnavailableError):
+                    client.submit("analyze", WARM_PAYLOAD)
         finally:
             disp.shutdown()
