@@ -74,9 +74,8 @@ def main(argv: list[str] | None = None) -> int:
             server = Dispatcher(config, worker_count=args.workers, port=0).start()
         else:
             server = ServiceServer(config, port=0).start()
+        client = ServiceClient(server.url, timeout=60)
         try:
-            client = ServiceClient(server.url, timeout=60)
-
             def one(job: tuple[str, dict]) -> tuple[str, str, str]:
                 kind, payload = job
                 submitted = client.submit(kind, payload, retries=20)
@@ -118,6 +117,7 @@ def main(argv: list[str] | None = None) -> int:
                         + "\n"
                     )
         finally:
+            client.close()
             server.shutdown()
 
     if failures:

@@ -416,10 +416,12 @@ def _rules_model_agreement(fd: FitDiagnostics) -> None:
             fd.flag(GRADE_WARN, f"models drift apart (relative rms {rms:.3f})")
     ratio = d.get("peak_ratio")
     if ratio is not None and (ratio > PEAK_RATIO_WARN or ratio < 1.0 / PEAK_RATIO_WARN):
+        peaks = ", ".join(
+            f"{name}: n={peak:.1f}" for name, peak in sorted(d.get("peaks", {}).items())
+        )
         fd.flag(
             GRADE_WARN,
-            f"predicted peak-speedup counts differ by {ratio:.2f}x "
-            f"({d.get('peaks', {})})",
+            f"predicted peak-speedup counts differ by {ratio:.2f}x ({peaks})",
         )
     if not d.get("has_decomposition", True):
         fd.flag(

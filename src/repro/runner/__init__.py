@@ -15,7 +15,6 @@ from .engine import (
     RunSpec,
     SerialExecutor,
     default_executor,
-    default_run_cache,
     execute_spec,
 )
 from .experiment import run_experiment
@@ -35,5 +34,4 @@ __all__ = [
     "ParallelExecutor",
     "execute_spec",
     "default_executor",
-    "default_run_cache",
 ]

@@ -24,14 +24,9 @@ from ..obs import runtime as obs
 from ..obs.logs import get_logger, kv
 from ..workloads.base import Workload
 
-__all__ = ["campaign_cache_dir", "cached_campaign"]
+__all__ = ["cached_campaign"]
 
 _log = get_logger("runner.cache")
-
-
-def campaign_cache_dir() -> Path:
-    """Cache root: $SCALTOOL_CACHE_DIR or .scaltool_cache in the cwd."""
-    return default_cache_root()
 
 
 def cached_campaign(
@@ -56,12 +51,12 @@ def cached_campaign(
     ``cache.refresh`` metrics summarise how the batch resolved.
 
     ``run_cache`` substitutes the per-run cache instance itself (the
-    serving layer passes its shared, memoised cache so every assembly in
-    the process reuses parsed records); it must be rooted at
+    serving layer passes its long-lived one, so every assembly in the
+    process reuses the records it parsed); it must be rooted at
     ``<cache dir>/runs``.
     """
     if run_cache is None:
-        root = Path(cache_dir) if cache_dir else campaign_cache_dir()
+        root = Path(cache_dir) if cache_dir else default_cache_root()
         run_cache = RunCache(root / "runs")
     factory = machine_factory or default_machine_factory()
     campaign = ScalToolCampaign(workload, config, machine_factory=factory)

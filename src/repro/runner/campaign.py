@@ -44,7 +44,7 @@ __all__ = ["CampaignConfig", "CampaignData", "ScalToolCampaign", "ProgressCallba
 
 _log = get_logger("runner.campaign")
 
-# Called after each completed run with (run_index_1_based, total_runs, record).
+# Called after each completed run with (1-based run number, total_runs, record).
 ProgressCallback = Callable[[int, int, RunRecord], None]
 
 #: The paper's processor counts: 1 to 32, doubling.

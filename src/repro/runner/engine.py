@@ -16,6 +16,12 @@ into :class:`RunSpec` values and hands them to an :class:`Executor`:
   under ``<cache root>/runs/<key>.json`` — one file per run, exactly the
   paper's "one output file" accounting.  A corrupt entry is never fatal:
   it is logged, counted (``engine.cache.corrupt``), and re-executed.
+  Each instance also keeps the records its ``get`` parsed, keyed by spec
+  key alone, so a process that reads a run again (a service assembling
+  a campaign per job) parses it once.  That memo needs no invalidation:
+  the key hashes everything a run depends on, the simulator is seeded,
+  and a record holds no wall-clock value, so a rewritten file is
+  byte-identical to the one the memo parsed.
 * :class:`SerialExecutor` runs specs in order in-process;
   :class:`ParallelExecutor` fans them out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` and reassembles the
@@ -66,7 +72,6 @@ __all__ = [
     "ParallelExecutor",
     "execute_spec",
     "default_cache_root",
-    "default_run_cache",
     "default_executor",
     "TRANSIENT_EXCEPTIONS",
 ]
@@ -84,6 +89,10 @@ _spec_compile_memo: dict[tuple, "RunSpec"] = {}
 _machine_hash_memo: dict["MachineConfig", str] = {}
 
 _ENV_VAR = "SCALTOOL_CACHE_DIR"
+
+#: Parsed records one :class:`RunCache` keeps; the memo is cleared when
+#: full (a service's working set is a few campaigns, far below this).
+MEMO_CAP = 4096
 
 #: Exception types the executors treat as retryable.
 TRANSIENT_EXCEPTIONS: tuple[type[BaseException], ...] = (TransientRunError, OSError)
@@ -272,39 +281,53 @@ class RunOutcome:
 
 
 class RunCache:
-    """Content-addressed on-disk memoisation of individual runs."""
+    """Content-addressed on-disk memoisation of individual runs.
 
-    def __init__(self, root: str | Path) -> None:
+    ``get`` memoises the records it parses (see the module docstring for
+    why the memo never goes stale); ``put`` does not, so the instance
+    that wrote a run still reads the file back and notices corruption.
+    A memo hit is counted as ``service.runcache.memo_hits`` through
+    ``tally``: a service passes its own, so the hits show on its
+    ``/v1/stats`` and ``/metrics``.
+    """
+
+    def __init__(
+        self, root: str | Path, tally: Callable[[str, float], None] = obs.inc
+    ) -> None:
         self.root = Path(root)
+        self._tally = tally
+        # Dict access is GIL-atomic; a clear racing a fill costs one re-parse.
+        self._memo: dict[str, RunRecord] = {}
 
     def path(self, spec: RunSpec) -> Path:
         return self.root / f"{spec.key()}.json"
 
     def contains(self, spec: RunSpec) -> bool:
-        """Whether an entry exists on disk (without reading or validating it)."""
-        return self.path(spec).exists()
+        """Whether the run is memoised or on disk (without reading the file)."""
+        return spec.key() in self._memo or self.path(spec).exists()
 
     def get(self, spec: RunSpec) -> RunRecord | None:
         """The cached record, or None (missing *or* unreadable — re-run)."""
+        key = spec.key()
+        record = self._memo.get(key)
+        if record is not None:
+            self._tally("service.runcache.memo_hits", 1)
+            return record
         path = self.path(spec)
         try:
-            text = path.read_text()
+            record = RunRecord.from_json(path.read_text())
         except FileNotFoundError:
             return None
-        except OSError as exc:
+        except (OSError, CounterFormatError) as exc:
             obs.registry().inc("engine.cache.corrupt")
             _log.warning(
                 "run cache entry unreadable, re-running %s", kv(path=path, reason=exc)
             )
             return None
-        try:
-            return RunRecord.from_json(text)
-        except CounterFormatError as exc:
-            obs.registry().inc("engine.cache.corrupt")
-            _log.warning(
-                "run cache entry corrupt, re-running %s", kv(path=path, reason=exc)
-            )
-            return None
+        if len(self._memo) >= MEMO_CAP:
+            self._memo.clear()
+        self._memo[key] = record
+        return record
 
     def put(self, spec: RunSpec, record: RunRecord) -> Path:
         """Store atomically (write-then-rename) so readers never see a torn file.
@@ -318,10 +341,6 @@ class RunCache:
         tmp.write_text(record.to_json() + "\n")
         os.replace(tmp, path)
         return path
-
-
-def default_run_cache() -> RunCache:
-    return RunCache(default_cache_root() / "runs")
 
 
 def _timed_execute(

@@ -13,8 +13,10 @@ inference-serving-shaped stack (queue -> planner -> batcher -> executor
 * :mod:`repro.service.planner` — compiles a request to its
   :class:`~repro.runner.engine.RunSpec` set and deduplicates specs that
   are already cached on disk or in flight on behalf of another job,
-  through the one claim table every deployment shares
-  (:class:`~repro.service.shared.SqliteClaimTable`).
+  through the one claim table every deployment shares: a SQLite (WAL)
+  file under the cache root, with TTL/heartbeat and owner-liveness
+  expiry (:class:`~repro.service.planner.SqliteClaimTable`).  A single
+  process is shard 0 of 1 on it.
 * :mod:`repro.service.store` — the persistent job store (one atomic JSON
   file per job under the cache root): jobs survive a restart and the
   ``status`` / ``result`` endpoints are idempotent.
@@ -25,17 +27,14 @@ inference-serving-shaped stack (queue -> planner -> batcher -> executor
   of transient failures, and drain-on-shutdown.
 * :mod:`repro.service.http` / :mod:`repro.service.client` — a stdlib
   HTTP JSON API (``scaltool serve``) and the matching Python client.
-* :mod:`repro.service.shared` — the state every service process keeps
-  under the cache root: the SQLite claim table (TTL/heartbeat and
-  owner-liveness expiry) and the run-cache index.  A single process is
-  shard 0 of 1 on them.
 * :mod:`repro.service.sharding` / :mod:`repro.service.dispatcher` /
   :mod:`repro.service.worker` — ``scaltool serve --workers N``: a thin
   router on the same HTTP front consistent-hashes content-addressed job
   fingerprints onto N worker processes, each a full single-process
   service on the shared cache root; ``/metrics`` and ``/healthz`` serve
-  merged whole-system views.  A root whose shared files cannot be made
-  starts every service degraded (503 on submit), at any worker count.
+  merged whole-system views.  A root whose job store or claim table
+  cannot be made starts every service degraded (503 on submit), at any
+  worker count.
 
 Library use (import from the submodules; this package re-exports nothing,
 so a request never pays for the serving stack)::

@@ -5,9 +5,10 @@ calling thread (the server speaks HTTP/1.1 with persistent
 connections), rebuilt transparently when the server drops it — under a
 load test this removes a TCP handshake per request, which at 100+
 concurrent clients is the difference between measuring the service and
-measuring the socket stack.  All requests are safe to retry once on a
-stale connection: reads are idempotent and submits are deduplicated by
-content-addressed fingerprint.
+measuring the socket stack.  :meth:`ServiceClient.close` closes every
+connection the client opened, whichever thread opened it.  All requests
+are safe to retry once on a stale connection: reads are idempotent and
+submits are deduplicated by content-addressed fingerprint.
 
 Mirrors the server's backpressure semantics: a 429/503 raises
 :class:`~repro.errors.QueueFullError` carrying the server's
@@ -78,7 +79,9 @@ class ServiceClient:
             raise ServiceError(f"unsupported scheme in {self.base_url!r}")
         self._host = parsed.hostname or "127.0.0.1"
         self._port = parsed.port or 80
-        self._local = threading.local()
+        self._local = threading.local()  # this thread's connection
+        self._conns_lock = threading.Lock()
+        self._conns: set[http.client.HTTPConnection] = set()  # every thread's
 
     # -- transport --------------------------------------------------------------
 
@@ -87,20 +90,26 @@ class ServiceClient:
         if conn is None:
             conn = http.client.HTTPConnection(self._host, self._port, timeout=timeout)
             self._local.conn = conn
+        conn.timeout = timeout
+        if conn.sock is None:
+            # Not connected: new, or closed by close() or by the server.
+            # Register it before it connects, so close() reaches it from
+            # any thread.
+            with self._conns_lock:
+                self._conns.add(conn)
         else:
-            conn.timeout = timeout
-            if conn.sock is not None:
-                conn.sock.settimeout(timeout)
+            conn.sock.settimeout(timeout)
         return conn
 
-    def _drop_connection(self) -> None:
+    def drop_connection(self) -> None:
+        """Close the calling thread's keep-alive connection; the client's
+        other threads keep theirs."""
         conn = getattr(self._local, "conn", None)
         if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
             self._local.conn = None
+            with self._conns_lock:
+                self._conns.discard(conn)
+            conn.close()
 
     def _raw(
         self,
@@ -122,7 +131,7 @@ class ServiceClient:
                 return resp.status, {k: v for k, v in resp.getheaders()}, body
             except (http.client.HTTPException, OSError) as exc:
                 last = exc
-                self._drop_connection()
+                self.drop_connection()
                 if attempt:
                     break
         raise ServiceError(f"cannot reach service at {self.base_url}: {last}") from last
@@ -320,8 +329,11 @@ class ServiceClient:
         return self._request("POST", "/v1/drain", body, timeout=request_timeout)[1]["drained"]
 
     def close(self) -> None:
-        """Drop this thread's keep-alive connection (others close on GC)."""
-        self._drop_connection()
+        """Close every connection this client opened, on any thread."""
+        with self._conns_lock:
+            conns, self._conns = self._conns, set()
+        for conn in conns:
+            conn.close()
 
     def __enter__(self) -> "ServiceClient":
         return self

@@ -58,6 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from ..errors import (
     JobNotFoundError,
@@ -70,7 +71,15 @@ from ..obs import runtime as obs
 from ..obs.logs import get_logger, kv
 from ..obs.metrics import BucketHistogram, MetricsRegistry
 from ..obs.telemetry import render_prometheus
-from ..obs.trace import TraceBuffer, TraceContext, TraceHandle, attach, new_span_id, retarget
+from ..obs.trace import (
+    TraceBuffer,
+    TraceContext,
+    TraceHandle,
+    TraceSpan,
+    attach,
+    new_span_id,
+    retarget,
+)
 from ..runner.engine import (
     TRANSIENT_EXCEPTIONS,
     RunCache,
@@ -80,9 +89,8 @@ from ..runner.engine import (
     default_executor,
 )
 from . import requests as _requests
-from .planner import RequestPlanner
+from .planner import RequestPlanner, SqliteClaimTable
 from .sharding import HashRing
-from .shared import IndexedRunCache, RunCacheIndex, SqliteClaimTable
 from .store import ACTIVE_STATES, TERMINAL_STATES, Job, JobStore
 
 __all__ = ["ServiceConfig", "AnalysisService"]
@@ -226,20 +234,15 @@ class AnalysisService:
         self.metrics = MetricsRegistry(histogram_factory=BucketHistogram)
         self.store = JobStore(self.root / "service" / "jobs", tally=self._tally)
         self.ring = HashRing(self.config.shard_count)
-        # Every service, one process or a worker of many, keeps its run-cache
-        # index and its claim table in SQLite-WAL files under the cache root,
-        # so every process on that root sees the same state.  A root where
-        # they cannot be made degrades the service (503s from start()); a
-        # degraded service admits no job, so it plans nothing and needs no
-        # claim table — a plain run cache serves its read endpoints.
+        self.run_cache = RunCache(self.root / "runs", tally=self._tally)
+        # Every service, one process or a worker of many, keeps its claim
+        # table in a SQLite-WAL file under the cache root, so every process
+        # on that root sees the same claims.  A root where it cannot be made
+        # degrades the service (503s from start()); a degraded service
+        # admits no job, so it plans nothing and needs no claim table.
         self.degraded: str | None = None
         self.planner: RequestPlanner | None = None
         try:
-            self.run_cache: RunCache = IndexedRunCache(
-                self.root / "runs",
-                RunCacheIndex(self.root / "service" / "run_index.sqlite"),
-                tally=self._tally,
-            )
             claims = SqliteClaimTable(
                 self.root / "service" / "claims.sqlite",
                 ttl=self.config.claim_ttl,
@@ -247,7 +250,6 @@ class AnalysisService:
             )
         except (OSError, sqlite3.OperationalError) as exc:
             self.degraded = f"{type(exc).__name__}: {exc}"
-            self.run_cache = RunCache(self.root / "runs")
         else:
             self.planner = RequestPlanner(self.run_cache, claims)
         self.executor = default_executor(self.config.jobs)
@@ -369,7 +371,7 @@ class AnalysisService:
             time.sleep(0.02)
 
     def close(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        """Drain (optionally), stop all tasks, tear the loop down, close the SQLite files."""
+        """Drain (optionally), stop all tasks, tear the loop down, close the claim table."""
         if not self._started:
             return
         if drain:
@@ -389,9 +391,8 @@ class AnalysisService:
             loop.close()
         self._job_pool.shutdown(wait=False)
         self._batch_pool.shutdown(wait=False)
-        if self.planner is not None:  # the SQLite files this service opened
+        if self.planner is not None:  # the SQLite file this service opened
             self.planner.claims.close()
-            self.planner.cache.index.close()
         self._started = False
         _log.debug("service stopped")
 
@@ -415,6 +416,7 @@ class AnalysisService:
         payload: dict | None = None,
         priority: int | None = None,
         trace_ctx: TraceContext | None = None,
+        trace_spans: Iterable[TraceSpan] = (),
     ) -> tuple[Job, bool]:
         """Admit one request; returns ``(job, deduped)``.
 
@@ -428,7 +430,12 @@ class AnalysisService:
         ``traceparent`` header); when present the job joins that trace —
         its whole lifecycle becomes child spans of the caller's span, and
         the assembled tree is persisted with the job.  A deduped submit
-        keeps the first submitter's trace.
+        keeps the first submitter's trace.  ``trace_spans`` are spans the
+        caller recorded in that trace before the job existed (the HTTP
+        front's); they join the buffer only when this submit admits the
+        job, before it is queued, so even a job that finishes before
+        ``submit`` returns persists them — and a rejected or deduped
+        submit leaves nothing behind.
         """
         if not self._started:
             raise ServiceError("service is not started")
@@ -482,6 +489,7 @@ class AnalysisService:
                 job.trace_id = trace_ctx.trace_id
                 job.trace_parent = trace_ctx.span_id
                 job.trace_span = new_span_id()
+                self.traces.extend(trace_spans)
             self.store.put(job)
             self._tally("service.jobs.submitted")
         self._enqueue(job)

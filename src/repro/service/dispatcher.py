@@ -8,12 +8,12 @@
                   ▼
                worker 0..N-1 (subprocess, python -m repro.service.worker:
                   │            a ServiceServer, shard i of N)
-                  ▼  shared cache root: run cache + SQLite index,
-                     SQLite claim table, job store (shard-filtered)
+                  ▼  shared cache root: run cache, SQLite claim
+                     table, job store (shard-filtered)
 
 Each worker is the same service ``scaltool serve --workers 1`` runs, on
-the same cache-root files — one claim table, one run-cache index, one
-job store — so the dispatcher only routes.  It shares the HTTP front's
+the same cache-root files — one run cache, one claim table, one job
+store — so the dispatcher only routes.  It shares the HTTP front's
 response writer, body and query parsers, server class and lifecycle
 (:mod:`repro.service.http`); only its route table is its own.
 
@@ -180,7 +180,9 @@ class Dispatcher(_HTTPFront):
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
                 handle.proc.kill()
                 handle.proc.wait(timeout=5)
-        self.close_forwards()
+        for handle in self.workers:
+            if handle.client is not None:
+                handle.client.close()
         shutil.rmtree(self._port_dir, ignore_errors=True)
         _log.debug("dispatcher stopped")
 
@@ -299,10 +301,11 @@ class Dispatcher(_HTTPFront):
         )
 
     def close_forwards(self) -> None:
-        """Close the calling thread's keep-alive connections to the workers."""
+        """Close the calling thread's keep-alive connections to the workers
+        (other handler threads may be mid-forward on theirs)."""
         for handle in self.workers:
             if handle.client is not None:
-                handle.client.close()
+                handle.client.drop_connection()
 
     def fan_out(
         self,

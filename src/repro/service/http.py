@@ -72,6 +72,7 @@ from ..obs.logs import get_logger, kv
 from ..obs.trace import (
     TRACEPARENT_HEADER,
     TRACESTATE_HEADER,
+    TraceBuffer,
     TraceContext,
     parse_traceparent,
     parse_tracestate_name,
@@ -382,13 +383,14 @@ class _Handler(_JsonHandler):
         body = self._body()
         kind = _submit_kind(body)
         ctx = parse_traceparent(self.headers.get(TRACEPARENT_HEADER))
+        front = TraceBuffer()
         if ctx is not None:
             # The client's root span cannot be shipped to us (the client
-            # process moves on after the response), so record a
-            # placeholder for it now — it anchors the tree — and do it
-            # *before* submit so a fast job cannot finish and persist its
-            # timeline without it.
-            self.service.traces.emit(
+            # process moves on after the response), so a placeholder
+            # anchors the tree; ``http.request`` covers this front's own
+            # work, up to the hand-off.  ``submit`` files both in the job's
+            # trace before the job can run, and only if it admits the job.
+            front.emit(
                 parse_tracestate_name(self.headers.get(TRACESTATE_HEADER))
                 or "client.request",
                 0.0,
@@ -397,32 +399,22 @@ class _Handler(_JsonHandler):
                 span_id=ctx.span_id,
                 remote=True,
             )
-        try:
-            job, deduped = self.service.submit(
-                kind,
-                body.get("payload") or {},
-                priority=body.get("priority"),
-                trace_ctx=ctx,
+            front.emit(
+                "http.request",
+                time.time() - arrived,
+                context=ctx,
+                start=arrived,
+                method="POST",
+                path="/v1/jobs",
+                status=202,
             )
-        except ReproError:
-            if ctx is not None:  # nobody will pop the placeholder
-                self.service.traces.pop_trace(ctx.trace_id)
-            raise
-        if ctx is not None:
-            if job.trace_id == ctx.trace_id:
-                self.service.traces.emit(
-                    "http.request",
-                    time.time() - arrived,
-                    context=ctx,
-                    start=arrived,
-                    method="POST",
-                    path="/v1/jobs",
-                    status=202,
-                )
-            else:
-                # Deduped onto a job that belongs to another trace: nobody
-                # will ever pop ours, so drop it.
-                self.service.traces.pop_trace(ctx.trace_id)
+        job, deduped = self.service.submit(
+            kind,
+            body.get("payload") or {},
+            priority=body.get("priority"),
+            trace_ctx=ctx,
+            trace_spans=front.records,
+        )
         out = {"id": job.id, "state": job.state, "deduped": deduped}
         if job.trace_id:
             out["trace_id"] = job.trace_id

@@ -46,8 +46,14 @@ from ..runner.campaign import (
     ProgressCallback,
     ScalToolCampaign,
 )
-from ..runner.cache import cached_campaign, campaign_cache_dir
-from ..runner.engine import Executor, RunCache, RunSpec, SerialExecutor
+from ..runner.cache import cached_campaign
+from ..runner.engine import (
+    Executor,
+    RunCache,
+    RunSpec,
+    SerialExecutor,
+    default_cache_root,
+)
 from ..runner.experiment import default_machine_factory
 from ..runner.sweep import ParameterSweep
 from ..viz.tables import format_table
@@ -314,7 +320,7 @@ class CompiledRequest:
 
         ``run_cache`` substitutes the per-run cache instance (it must be
         rooted at ``<cache_root>/runs``): the serving layer passes its
-        shared memoised cache so assembly reuses already-parsed records
+        long-lived one, so assembly reuses the records it already parsed
         instead of re-reading JSON per job.
         """
         root = Path(cache_root) if cache_root is not None else None
@@ -407,7 +413,7 @@ class _CampaignBacked(CompiledRequest):
         be served for a campaign assembled from the other.
         """
         c = self.canonical
-        root = Path(cache_root) if cache_root is not None else campaign_cache_dir()
+        root = Path(cache_root) if cache_root is not None else default_cache_root()
         memo_key = json.dumps(
             {
                 "root": str(root.resolve()),
@@ -715,7 +721,7 @@ class SweepRequest(CompiledRequest):
         c = self.canonical
         sweep = self._sweep()
         metrics = {m: (lambda rec, _m=m: getattr(rec.counters, _m)) for m in c["metrics"]}
-        root = cache_root if cache_root is not None else campaign_cache_dir()
+        root = cache_root if cache_root is not None else default_cache_root()
         total = len(sweep.points())
 
         def _report(outcome) -> None:

@@ -10,8 +10,8 @@ binds an ephemeral port, writes ``{"port", "pid", "shard"}`` to
 find it, and serves until SIGTERM — which drains in-flight jobs before
 exiting.
 
-Workers share the cache root: the run cache (and its SQLite index), the
-claim table, and the job store are common; each worker *recovers* and
+Workers share the cache root: the run cache, the claim table, and the
+job store are common; each worker *recovers* and
 *executes* only the jobs the hash ring routes to its shard.
 """
 

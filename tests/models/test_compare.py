@@ -123,6 +123,33 @@ class TestAgreementFlag:
         assert self._flags(bumped) == self._flags(self.SHARES)
 
 
+class TestPeakFlag:
+    """The peak-disagreement flag prints peaks at a fixed precision."""
+
+    @staticmethod
+    def _flags(peaks):
+        details = {
+            "top_n": 32,
+            "has_decomposition": True,
+            "peak_ratio": max(peaks.values()) / min(peaks.values()),
+            "peaks": peaks,
+        }
+        fd = FitDiagnostics(name="model_agreement", kind="model_agreement", details=details)
+        return apply_rules(fd).flags
+
+    PEAKS = {"usl": 301.18155929577216, "scaltool": 32.0}
+
+    def test_peaks_sorted_at_fixed_precision(self):
+        assert self._flags(self.PEAKS) == [
+            "[warn] predicted peak-speedup counts differ by 9.41x "
+            "(scaltool: n=32.0, usl: n=301.2)"
+        ]
+
+    def test_one_ulp_leaves_the_text(self):
+        bumped = {name: float(np.nextafter(peak, np.inf)) for name, peak in self.PEAKS.items()}
+        assert self._flags(bumped) == self._flags(self.PEAKS)
+
+
 class TestScalToolModel:
     def test_requires_enough_analysis_counts(self):
         from types import SimpleNamespace

@@ -246,6 +246,22 @@ class TestRunCache:
         assert s.registry.counter("engine.cache.hit") == 0.0
         assert cache.path(spec).read_text() == before  # deterministic rewrite
 
+    def test_roundtrip_and_memo(self, tmp_path):
+        tallied = []
+        cache = RunCache(tmp_path, tally=lambda name, value: tallied.append((name, value)))
+        spec = spec_for()
+        assert not cache.contains(spec)
+        record = execute_spec(spec)
+        cache.put(spec, record)
+        assert cache.contains(spec)
+        first = cache.get(spec)  # parsed from the file: put does not memoise
+        assert first is not record and first.to_json() == record.to_json()
+        assert tallied == []
+        assert cache.get(spec) is first  # the memo: the same parsed object back
+        assert tallied == [("service.runcache.memo_hits", 1)]
+        cache.path(spec).unlink()
+        assert cache.contains(spec)  # answered from the memo, not the disk
+
     def test_corrupt_entry_reruns(self, tmp_path):
         spec = spec_for()
         cache = RunCache(tmp_path)

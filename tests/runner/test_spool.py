@@ -14,11 +14,10 @@ no spool directory is ever created.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.obs import runtime as obs
+from repro.obs import sampler as obs_sampler
 from repro.obs import spool as obs_spool
 from repro.obs.export import span_rows
 from repro.obs.sampler import SampleProfile, Sampler
@@ -168,44 +167,53 @@ def test_merge_spool_grafts_under_open_span(tmp_path):
     assert paths == ["engine.run", "engine.run/work"]
 
 
-def _hot_spin(deadline: float) -> int:
-    """A one-line busy loop every sampler tick must land on."""
-    x = 0
-    while time.perf_counter() < deadline:
-        x += 1
-    return x
+#: Samples each run takes by hand from inside ``_hot_spin``.
+HOT_SAMPLES = 5
+
+#: A sampler interval longer than the test: the watcher never ticks, so
+#: every sample is one ``_hot_spin`` took itself.
+NEVER = 3600.0
+
+
+def _hot_spin() -> None:
+    """A hot frame that samples itself: each sample's frames and open span
+    are read at one instant, inside this frame.  In a pool worker the
+    active sampler is the worker's own, started with the parent's
+    interval."""
+    for _ in range(HOT_SAMPLES):
+        obs_sampler.sampler().sample_once()
 
 
 def _busy_execute(spec):
-    """Module-level (picklable) execute_fn: spin hot, then really run."""
-    _hot_spin(time.perf_counter() + 0.3)
+    """Module-level (picklable) execute_fn: sample hot, then really run."""
+    _hot_spin()
     return execute_spec(spec)
 
 
 def test_serial_and_parallel_profiles_sample_the_same_hot_frames():
     """serial ≡ --jobs N for the folded-stack profile (timings aside).
 
-    The spin dominates every run, so both samplers must catch it; in
-    parallel mode the spin happens in pool workers while the parent
-    sampler is paused, so it can only appear via worker self-sampling
-    spooled back and merged — under the very span path the serial
-    profile records it at.
+    Every run samples its hot frame by hand, so both profiles must hold
+    it; in parallel mode the samples are taken in pool workers while the
+    parent sampler is paused, so they can only appear via worker
+    self-sampling spooled back and merged — under the very span path the
+    serial profile records them at.
     """
     specs = _specs(counts=(1, 2), size=4 * 1024)
 
     with obs.session():
-        sampler = Sampler(interval_s=0.001).start()
+        serial = Sampler(interval_s=NEVER).start()
         try:
             SerialExecutor(execute_fn=_busy_execute).run(list(specs))
         finally:
-            serial_profile = sampler.stop()
+            serial_profile = serial.stop()
 
     with obs.session():
-        sampler = Sampler(interval_s=0.001).start()
+        parallel = Sampler(interval_s=NEVER).start()
         try:
             ParallelExecutor(jobs=2, execute_fn=_busy_execute).run(list(specs))
         finally:
-            parallel_profile = sampler.stop()
+            parallel_profile = parallel.stop()
 
     def hot_frames(profile):
         return {

@@ -1,6 +1,7 @@
 """HTTP API + client: routes, backpressure codes, end-to-end jobs."""
 
 import json
+import threading
 import urllib.request
 
 import pytest
@@ -179,6 +180,24 @@ class TestClient:
         client = ServiceClient("http://127.0.0.1:9", timeout=0.2)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.health()
+
+    def test_close_closes_every_threads_connection(self, server):
+        client = ServiceClient(server.url, timeout=10)
+        sockets = []
+
+        def use() -> None:
+            client.health()
+            sockets.append(client._local.conn.sock)
+
+        for _ in range(3):
+            thread = threading.Thread(target=use)
+            thread.start()
+            thread.join()
+        assert len({id(sock) for sock in sockets}) == 3
+        client.close()  # from a thread that opened none of them
+        assert [sock.fileno() for sock in sockets] == [-1, -1, -1]
+        assert client.health()["status"] == "ok"  # a closed client reconnects
+        client.close()
 
 
 class TestEndToEnd:

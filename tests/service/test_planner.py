@@ -3,7 +3,8 @@
 Every service plans through the one SQLite claim table, so these run on
 :class:`SqliteClaimTable` under ``tmp_path``.  Claim ages are set by
 rewriting a claim's ``heartbeat`` row, never by sleeping past a TTL, so
-no check depends on machine load.
+no check depends on machine load.  ``test_shared.py`` checks the same
+table across instances and processes.
 """
 
 import threading
@@ -11,9 +12,8 @@ import threading
 import pytest
 
 from repro.runner.engine import RunCache
-from repro.service.planner import RequestPlanner
+from repro.service.planner import RequestPlanner, SqliteClaimTable
 from repro.service.requests import compile_request
-from repro.service.shared import SqliteClaimTable
 
 from .conftest import Tally, age_claim
 
@@ -32,19 +32,16 @@ class TestInFlightTable:
     """The in-flight claim contract, on the one table every service uses."""
 
     def test_claim_partitions(self, table):
-        claimed, waiting = table.claim(["a", "b"])
-        assert claimed == ["a", "b"] and waiting == {}
-        claimed2, waiting2 = table.claim(["b", "c"])
-        assert claimed2 == ["c"]
-        assert set(waiting2) == {"b"}
+        assert table.claim(["a", "b"]) == (["a", "b"], [])
+        assert table.claim(["b", "c"]) == (["c"], ["b"])
         assert len(table) == 3
 
     def test_release_wakes_waiters(self, table):
         table.claim(["a"])
-        _, waiting = table.claim(["a"])
-        assert not waiting["a"].wait(timeout=0)
+        assert table.claim(["a"]) == ([], ["a"])
+        assert table.is_claimed("a")
         table.release(["a"])
-        assert waiting["a"].wait(timeout=0)
+        assert not table.is_claimed("a")
         assert len(table) == 0
 
     def test_release_unknown_key_is_noop(self, table):
@@ -53,8 +50,7 @@ class TestInFlightTable:
     def test_reclaim_after_release(self, table):
         table.claim(["a"])
         table.release(["a"])
-        claimed, waiting = table.claim(["a"])
-        assert claimed == ["a"] and not waiting
+        assert table.claim(["a"]) == (["a"], [])
 
 
 class TestRequestPlanner:
@@ -113,26 +109,23 @@ class TestClaimTTL:
     """Stale-claim leakage: an orphaned claim must expire, not block forever."""
 
     def test_unreleased_claim_expires_after_ttl(self, table):
-        got, _ = table.claim(["k"])
-        assert got == ["k"]
+        assert table.claim(["k"]) == (["k"], [])
         age_claim(table.path, "k", 2 * TTL)
-        got2, waiting = table.claim(["k"])  # orphaned claim reclaimed
-        assert got2 == ["k"] and not waiting
+        assert table.claim(["k"]) == (["k"], [])  # orphaned claim reclaimed
 
     def test_expiry_wakes_the_orphans_waiters(self, table):
         table.claim(["k"])
-        _, waiting = table.claim(["k"])
-        assert not waiting["k"].wait(timeout=0)
+        assert table.claim(["k"]) == ([], ["k"])
         age_claim(table.path, "k", 2 * TTL)
         table.claim(["other"])  # any claim() sweeps expired entries
-        assert waiting["k"].wait(timeout=0)
+        assert not table.is_claimed("k")
 
     def test_heartbeat_defers_expiry(self, table):
         table.claim(["k"])
         age_claim(table.path, "k", 2 * TTL)
         table.heartbeat(["k"])
-        got, waiting = table.claim(["k"])  # still held: the heartbeat kept it
-        assert not got and set(waiting) == {"k"}
+        # still held: the heartbeat kept it
+        assert table.claim(["k"]) == ([], ["k"])
 
     def test_dead_claimant_thread_is_reclaimed_by_ttl(self, table):
         """The in-process analogue of a killed worker: the claiming thread
@@ -145,8 +138,7 @@ class TestClaimTTL:
         t.start()
         t.join()  # claimant is gone, claim leaked
         assert len(table) == 1
-        got, waiting = table.claim(["doomed"])  # its owner process still lives
-        assert not got and set(waiting) == {"doomed"}
+        # its owner process still lives
+        assert table.claim(["doomed"]) == ([], ["doomed"])
         age_claim(table.path, "doomed", 2 * TTL)
-        got, waiting = table.claim(["doomed"])
-        assert got == ["doomed"] and not waiting
+        assert table.claim(["doomed"]) == (["doomed"], [])

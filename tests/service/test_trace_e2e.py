@@ -147,6 +147,40 @@ class TestObsTraceCli:
             srv.shutdown(drain_timeout=30)
 
 
+class TestFastJob:
+    def test_http_span_lands_before_the_job_can_finish(
+        self, tmp_path, stub_requests, monkeypatch
+    ):
+        """A job may settle (and persist its timeline) before ``submit``
+        returns to the HTTP front: the front's spans must already be in it,
+        and nothing may land in the trace afterwards."""
+        srv = ServiceServer(
+            ServiceConfig(cache_dir=tmp_path, workers=1, batch_window=0.0), port=0
+        ).start()
+        service = srv.service
+        real_submit = service.submit
+
+        def submit_returning_when_done(*args, **kwargs):
+            job, deduped = real_submit(*args, **kwargs)
+            service.wait(job.id, timeout=30)
+            return job, deduped
+
+        monkeypatch.setattr(service, "submit", submit_returning_when_done)
+        try:
+            with ServiceClient(srv.url, timeout=30) as client:
+                submitted = client.submit("stub", {"name": "fast"})
+                tree = client.trace(submitted["id"])
+                view = client.result(submitted["id"])
+            assert tree["complete"] is True
+            names = [s["name"] for s in tree["spans"]]
+            assert "http.request" in names and "service.job" in names
+            _tree_check(tree["spans"])
+            assert "http.request" in [s["name"] for s in view["timeline"]["spans"]]
+            assert len(service.traces) == 0
+        finally:
+            srv.shutdown(drain_timeout=10)
+
+
 class TestDisabledPropagation:
     def test_untraced_submit_adds_no_headers_or_spans(self, tmp_path, stub_requests):
         srv = ServiceServer(
